@@ -40,6 +40,11 @@ class WorkerTransportError(BrokenExecutor):
     engine's serial-fallback path, like any other pool-bringup failure."""
 
 
+# A unit still running after this many seconds is taken for a hung
+# worker: the child is killed and the job falls back to the serial path.
+WORKER_TIMEOUT_S = 600.0
+
+
 def _worker_command() -> List[str]:
     return [sys.executable, "-m", "repro", "worker", "run-unit"]
 
@@ -71,7 +76,13 @@ def run_unit_subprocess(unit_text: str) -> str:
             capture_output=True,
             text=True,
             env=_worker_env(),
+            timeout=WORKER_TIMEOUT_S,
         )
+    except subprocess.TimeoutExpired as exc:
+        # subprocess.run has already killed and reaped the child
+        raise WorkerTransportError(
+            f"worker subprocess timed out after {WORKER_TIMEOUT_S:g} s and was killed"
+        ) from exc
     except OSError as exc:
         raise WorkerTransportError(f"could not spawn worker subprocess: {exc}") from exc
     if proc.returncode != 0:

@@ -48,7 +48,8 @@ def normalize_value(text: str, config: NormalizationConfig = DEFAULT_NORMALIZATI
     'crcw0805 10k'
     """
     result = text
-    if config.remove_accents:
+    # NFKD leaves ASCII unchanged and no ASCII character is combining
+    if config.remove_accents and not result.isascii():
         result = strip_accents(result)
     if config.casefold:
         result = result.casefold()

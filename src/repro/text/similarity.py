@@ -86,37 +86,36 @@ def jaro_similarity(a: str, b: str) -> float:
     """Jaro similarity (the measure behind the 1985 Tampa census study
 
     cited by the paper as the origin of blocking).
+
+    Each character of *a* takes the first unused equal character of *b*
+    inside the match window; ``str.find`` does that scan in C. The
+    window start is clamped at 0 by hand because ``find`` reads a
+    negative start as an offset from the end.
     """
     if a == b:
         return 1.0
     len_a, len_b = len(a), len(b)
     if len_a == 0 or len_b == 0:
         return 0.0
-    window = max(len_a, len_b) // 2 - 1
-    window = max(window, 0)
-    matched_a = [False] * len_a
-    matched_b = [False] * len_b
-    matches = 0
+    window = max(max(len_a, len_b) // 2 - 1, 0)
+    find = b.find
+    matched_a = []
+    used = set()
     for i, ch in enumerate(a):
-        lo = max(0, i - window)
-        hi = min(len_b, i + window + 1)
-        for j in range(lo, hi):
-            if not matched_b[j] and b[j] == ch:
-                matched_a[i] = True
-                matched_b[j] = True
-                matches += 1
-                break
+        hi = i + window + 1
+        j = find(ch, i - window if i > window else 0, hi)
+        while j in used:
+            j = find(ch, j + 1, hi)
+        if j >= 0:
+            matched_a.append(ch)
+            used.add(j)
+    matches = len(used)
     if matches == 0:
         return 0.0
     transpositions = 0
-    k = 0
-    for i in range(len_a):
-        if matched_a[i]:
-            while not matched_b[k]:
-                k += 1
-            if a[i] != b[k]:
-                transpositions += 1
-            k += 1
+    for ch, j in zip(matched_a, sorted(used)):
+        if ch != b[j]:
+            transpositions += 1
     transpositions //= 2
     return (
         matches / len_a + matches / len_b + (matches - transpositions) / matches

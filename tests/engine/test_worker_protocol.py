@@ -10,14 +10,16 @@ Four layers:
   comparator's vocabulary pin must agree with its field spec;
 * **the CLI worker** — ``repro worker run-unit`` reads one envelope on
   stdin and answers one on stdout (exit 2 + stderr on a bad unit);
-* **transport degradation** — a subprocess that cannot be spawned
-  drops the job to the serial path via the engine's existing
-  ``FALLBACK_ERRORS`` chain, byte-identically.
+* **transport degradation** — a subprocess that cannot be spawned, or
+  one killed for outliving ``WORKER_TIMEOUT_S``, drops the job to the
+  serial path via the engine's existing ``FALLBACK_ERRORS`` chain,
+  byte-identically.
 """
 
 import dataclasses
 import io
 import json
+import sys
 
 import pytest
 
@@ -182,7 +184,34 @@ class TestWorkerCLI:
             decode_worker_result(json.dumps(payload))
 
 
+@pytest.fixture()
+def hung_worker(monkeypatch):
+    """Worker subprocesses that sleep far past a half-second timeout."""
+    import repro.engine.executors.worker as worker_module
+
+    monkeypatch.setattr(
+        worker_module,
+        "_worker_command",
+        lambda: [sys.executable, "-c", "import time; time.sleep(60)"],
+    )
+    monkeypatch.setattr(worker_module, "WORKER_TIMEOUT_S", 0.5)
+    return worker_module
+
+
 class TestTransportDegradation:
+    def _serial_and_worker(self, external, local):
+        comparator = RecordComparator([FieldComparator("pn")])
+        matcher = ThresholdMatcher(match_threshold=0.85)
+        return [
+            LinkingJob(
+                QGramBlocking("pn", q=2, threshold=0.6), comparator, matcher, config
+            ).run(external, local)
+            for config in (
+                JobConfig(executor="serial"),
+                JobConfig(executor="worker", workers=2, shards=2),
+            )
+        ]
+
     def test_broken_subprocess_falls_back_to_serial(
         self, monkeypatch, workload
     ):
@@ -192,24 +221,21 @@ class TestTransportDegradation:
             raise WorkerTransportError("worker subprocess exited with code 127")
 
         monkeypatch.setattr(worker_module, "run_unit_subprocess", explode)
-        external, local = workload
-        blocking = QGramBlocking("pn", q=2, threshold=0.6)
-        comparator = RecordComparator([FieldComparator("pn")])
-        matcher = ThresholdMatcher(match_threshold=0.85)
-        serial = LinkingJob(
-            QGramBlocking("pn", q=2, threshold=0.6),
-            comparator,
-            matcher,
-            JobConfig(executor="serial"),
-        ).run(external, local)
-        degraded = LinkingJob(
-            blocking,
-            comparator,
-            matcher,
-            JobConfig(executor="worker", workers=2, shards=2),
-        ).run(external, local)
+        serial, degraded = self._serial_and_worker(*workload)
         assert degraded.matches == serial.matches
         assert degraded.compared == serial.compared
         assert degraded.stats.executor == "serial"
         assert "WorkerTransportError" in degraded.stats.fallback_reason
+        assert degraded.stats.work_units == 0
+
+    def test_hung_subprocess_raises_a_named_timeout(self, hung_worker, workload):
+        text = encode_work_unit(_units(*workload)[0])
+        with pytest.raises(WorkerTransportError, match="timed out after 0.5 s"):
+            hung_worker.run_unit_subprocess(text)
+
+    def test_hung_subprocess_falls_back_to_serial(self, hung_worker, workload):
+        serial, degraded = self._serial_and_worker(*workload)
+        assert degraded.matches == serial.matches
+        assert degraded.stats.executor == "serial"
+        assert "timed out after 0.5 s" in degraded.stats.fallback_reason
         assert degraded.stats.work_units == 0
