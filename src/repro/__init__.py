@@ -9,7 +9,9 @@ schema is unknown. It ships every substrate the paper relies on: an RDF
 data model, an OWL-lite ontology layer, segmentation and string
 similarity, the rule learner itself, classic blocking baselines, a
 synthetic stand-in for the proprietary Thales catalog, and the full
-experiment harness (see DESIGN.md / EXPERIMENTS.md).
+experiment harness (``docs/architecture.md`` maps the layers;
+``docs/benchmarks.md`` maps each paper result to the command that
+regenerates it and the test that pins it).
 
 Quickstart::
 

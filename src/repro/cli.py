@@ -1,7 +1,7 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands map one-to-one onto the experiment harness plus a rule
-export/import utility:
+Commands map onto the experiment harness, the linking engine and
+service, and a rule export utility:
 
 * ``table1`` — regenerate the paper's Table 1;
 * ``stats`` — the §5 in-text statistics;
@@ -15,11 +15,14 @@ export/import utility:
 * ``throughput`` — the engine throughput experiment (A5);
 * ``scenarios`` — list or run the scenario workload matrix (batch +
   streaming legs with the byte-identity check and metric envelopes);
-* ``bench`` — list, run or regression-compare the registered benchmarks
-  (the perf trajectory under ``benchmarks/results/trajectory/`` and the
-  CI perf gate);
+* ``artifacts`` — build or inspect a warm-start bundle;
+* ``serve`` — host bundles behind the HTTP linking daemon;
+* ``worker`` — execute one serialized shard work unit;
 * ``export-rules`` — learn on a preset catalog and write the rules as
   JSON or Turtle.
+
+Performance is measured outside the package, by the repo benchmark
+``perf/run.py``.
 """
 
 from __future__ import annotations
@@ -386,161 +389,6 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.bench import (
-        BenchmarkCheckError,
-        ResultsDirError,
-        UnknownBenchmarkError,
-        benchmark_names,
-        compare_benchmarks,
-        default_baseline_dir,
-        default_results_dir,
-        get_benchmark,
-        read_trajectory,
-        run_benchmarks,
-        trajectory_dir,
-        write_result,
-    )
-
-    try:
-        results_dir = (
-            Path(args.results_dir) if args.results_dir else default_results_dir()
-        )
-        baseline_dir = (
-            Path(args.baseline_dir) if args.baseline_dir else default_baseline_dir()
-        )
-    except ResultsDirError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-
-    if args.action == "list":
-        specs = [get_benchmark(name) for name in benchmark_names(args.tier)]
-        if args.json:
-            print(
-                json.dumps(
-                    [
-                        {
-                            "benchmark": spec.name,
-                            "tier": spec.tier,
-                            "workload": spec.workload,
-                            "description": spec.description,
-                            "gated_metrics": [b.metric for b in spec.budgets],
-                        }
-                        for spec in specs
-                    ],
-                    indent=2,
-                    sort_keys=True,
-                )
-            )
-            return 0
-        print(f"{'benchmark':<24} {'tier':<9} {'workload':<18} description")
-        for spec in specs:
-            print(
-                f"{spec.name:<24} {spec.tier:<9} {spec.workload:<18} "
-                f"{spec.description}"
-            )
-        return 0
-
-    if args.action == "run":
-        try:
-            runs = run_benchmarks(
-                names=args.benchmarks, tier=args.tier, results_dir=results_dir
-            )
-        except UnknownBenchmarkError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        except BenchmarkCheckError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if args.json:
-            print(
-                json.dumps(
-                    [run.result.to_payload() for run in runs],
-                    indent=2,
-                    sort_keys=True,
-                )
-            )
-        else:
-            for run in runs:
-                wall = run.result.metrics["wall_seconds"]
-                print(f"{run.spec.name:<24} {wall:8.2f}s -> {run.trajectory_file}")
-            print(f"{len(runs)} benchmark(s) ok")
-        if args.update_baselines:
-            for run in runs:
-                path = write_result(baseline_dir, run.result)
-                print(f"baseline updated: {path}", file=sys.stderr)
-        return 0
-
-    if args.action == "trajectory":
-        # the guard behind the CI perf-smoke job: a bench run that
-        # leaves the trajectory empty is a bug, not a quiet no-op
-        try:
-            names = [
-                get_benchmark(name).name for name in args.benchmarks or ()
-            ] or benchmark_names(args.tier)
-        except UnknownBenchmarkError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        records_dir = trajectory_dir(results_dir)
-        empty = []
-        rows = []
-        for name in names:
-            records = read_trajectory(records_dir, name)
-            rows.append({"benchmark": name, "records": len(records)})
-            if not records:
-                empty.append(name)
-        if args.json:
-            print(json.dumps(rows, indent=2, sort_keys=True))
-        else:
-            for row in rows:
-                print(f"{row['benchmark']:<24} {row['records']:>4} record(s)")
-        if empty:
-            print(
-                "error: empty trajectory for: " + ", ".join(empty),
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-
-    # compare
-    try:
-        report = compare_benchmarks(
-            results_dir, baseline_dir, names=args.benchmarks, tier=args.tier
-        )
-    except UnknownBenchmarkError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    if args.json:
-        payload = [
-            {
-                "benchmark": comparison.benchmark,
-                "status": comparison.status,
-                "metrics": [
-                    {
-                        "metric": m.metric,
-                        "direction": m.direction,
-                        "status": m.status,
-                        "baseline": m.baseline,
-                        "current": m.current,
-                        "allowed": m.allowed,
-                        "ratio": m.ratio,
-                    }
-                    for m in comparison.metrics
-                ],
-            }
-            for comparison in report.comparisons
-        ]
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(report.format())
-    if args.fail_on_regression and not report.ok(fail_on_missing=args.fail_on_missing):
-        return 1
-    return 0
-
-
 def _cmd_worker(args: argparse.Namespace) -> int:
     """``repro worker run-unit`` — execute one serialized shard work unit.
 
@@ -833,63 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit reports as JSON"
     )
     scenarios.set_defaults(handler=_cmd_scenarios)
-
-    bench = sub.add_parser(
-        "bench", help="benchmark orchestration (list / run / compare / trajectory)"
-    )
-    bench.add_argument(
-        "action",
-        choices=("list", "run", "compare", "trajectory"),
-        help="list the registry, run benchmarks, diff against baselines, "
-        "or audit the trajectory (exit 1 when any selected benchmark "
-        "has no recorded run)",
-    )
-    bench.add_argument(
-        "--tier",
-        # keep in sync with repro.bench.spec.TIERS (not imported here:
-        # parser construction must not pay the bench registry import)
-        choices=("smoke", "serve-load", "standard", "full"),
-        default=None,
-        help="cumulative tier filter (smoke ⊂ serve-load ⊂ standard "
-        "⊂ full; default: full = everything)",
-    )
-    bench.add_argument(
-        "--bench",
-        action="append",
-        dest="benchmarks",
-        metavar="NAME",
-        help="benchmark to select (repeatable; overrides --tier)",
-    )
-    bench.add_argument(
-        "--results-dir",
-        default=None,
-        help="where run reports + trajectory/BENCH_*.json land "
-        "(default: benchmarks/results under the repo root)",
-    )
-    bench.add_argument(
-        "--baseline-dir",
-        default=None,
-        help="checked-in baseline records "
-        "(default: benchmarks/baselines under the repo root)",
-    )
-    bench.add_argument(
-        "--update-baselines",
-        action="store_true",
-        help="after a run, copy its results into the baseline directory",
-    )
-    bench.add_argument(
-        "--fail-on-regression",
-        action="store_true",
-        help="compare: exit 1 when any gated metric leaves its envelope",
-    )
-    bench.add_argument(
-        "--fail-on-missing",
-        action="store_true",
-        help="compare: with --fail-on-regression, also fail on missing "
-        "baselines or results",
-    )
-    bench.add_argument("--json", action="store_true", help="emit JSON")
-    bench.set_defaults(handler=_cmd_bench)
 
     artifacts = sub.add_parser(
         "artifacts", help="warm-start bundle store (build / inspect)"

@@ -9,7 +9,7 @@ leaves, and 10 265 expert reconciliations). This package simulates it:
 * :class:`PartNumberGrammar` — per-class part-number grammars mixing
   class-indicative series codes ("CRCW0805", "T83"), family unit segments
   ("ohm", "uf", "63v"), shared value segments and per-item serials, at
-  calibrated proportions (see DESIGN.md §4);
+  calibrated proportions (see :class:`CatalogConfig`);
 * :class:`Corruptor` — provider-side noise (case, separators, typos,
   dropped/added segments);
 * :class:`ElectronicCatalogGenerator` — the whole package: catalog

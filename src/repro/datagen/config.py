@@ -1,9 +1,11 @@
 """Configuration of the synthetic catalog generator.
 
-The defaults are calibrated (analytically, then empirically — see
-EXPERIMENTS.md) so that the Thales-scale preset lands in the paper's
-ballpark: ~7.8k distinct segments / ~26k occurrences over TS, ~68
-frequent classes, ~144 rules at ``th = 0.002``, with the Table 1 shape.
+The defaults are calibrated (analytically, then empirically) so that
+the Thales-scale preset lands in the paper's ballpark: ~7.8k distinct
+segments / ~26k occurrences over TS, ~68 frequent classes, ~144 rules
+at ``th = 0.002``, with the Table 1 shape. ``repro stats`` and
+``repro table1`` print the result next to the paper's numbers, and
+``tests/experiments/test_paper_scale.py`` pins it.
 """
 
 from __future__ import annotations
@@ -63,8 +65,8 @@ class CatalogConfig:
     n_links: int = 10265
     catalog_size: int = 25000
     class_zipf_s: float = 1.1
-    # segment mix (defaults calibrated against the paper's §5 statistics;
-    # see EXPERIMENTS.md for the calibration record)
+    # segment mix (defaults calibrated against the paper's §5 statistics,
+    # which tests/experiments/test_paper_scale.py pins)
     n_indicative_leaves: int = 18
     codes_per_class: tuple[int, int] = (2, 7)
     p_series: float = 0.60

@@ -100,8 +100,8 @@ class StreamingLinkingJob:
       through it the shared, version-invalidated local key index);
 
     ``shared_cache=False`` opts out of the stream-owned similarity
-    cache, reverting to cold per-delta caches — the reference leg the
-    ``smoke-streaming-cache`` benchmark measures against;
+    cache, reverting to cold per-delta caches (the reference leg
+    ``tests/engine/test_cache_reuse.py`` compares against);
     * **learner-driven blocking** — pass ``learner`` and
       ``blocking_factory``; training deltas grow the learner and the
       factory re-materializes the blocking from the re-emitted rules

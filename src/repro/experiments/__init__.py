@@ -1,6 +1,7 @@
 """Experiment harness: every table, figure and in-text statistic.
 
-One module per experiment family (ids from DESIGN.md §5):
+One module per experiment family (``docs/benchmarks.md`` maps each id
+to its ``repro`` command and the test that pins it):
 
 * :mod:`repro.experiments.table1` — **T1**: the paper's Table 1
   (confidence bands -> #rules, #decisions, precision, recall, lift);
@@ -40,7 +41,6 @@ from repro.experiments.throughput import (
     ThroughputRow,
     provider_batch,
     run_linking_throughput,
-    toponym_linking_setup,
 )
 from repro.experiments.generalization import (
     GeneralizationReport,
@@ -72,7 +72,6 @@ __all__ = [
     "ThroughputRow",
     "provider_batch",
     "run_linking_throughput",
-    "toponym_linking_setup",
     "GeneralizationReport",
     "run_generalization",
     "GeneralityReport",

@@ -5,8 +5,9 @@ The paper groups the learned rules into disjoint confidence bands (1,
 rules, the number of classification decisions over TS, their precision
 and recall, and the average lift.
 
-Interpretation (reverse-engineered from the paper's own arithmetic,
-documented in DESIGN.md §7 and EXPERIMENTS.md):
+Interpretation (reverse-engineered from the paper's own arithmetic;
+``repro table1`` prints the result next to the paper's numbers and
+``tests/experiments/test_paper_scale.py`` pins it at paper scale):
 
 * each row evaluates the *cumulative* rule set ``confidence >= row
   threshold``; per item the single best prediction (confidence first,

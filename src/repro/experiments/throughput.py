@@ -7,9 +7,7 @@ the engine and each run reports compared pairs, match quality, wall
 time, pairs/sec, similarity-cache hit rate and chunk count.
 
 The module also hosts the shared provider-batch generator (corrupted
-out-of-sample twins of catalog items) and the toponym linking setup used
-by the benchmark suite to verify that parallel chunked execution is
-byte-identical to the serial path on a second domain.
+out-of-sample twins of catalog items).
 """
 
 from __future__ import annotations
@@ -26,14 +24,13 @@ from repro.datagen.catalog import (
 )
 from repro.datagen.config import CatalogConfig
 from repro.datagen.corruption import Corruptor
-from repro.datagen.toponyms import GeneratedGazetteer, ToponymConfig, generate_gazetteer
 from repro.engine import JobConfig, LinkingJob
 from repro.linking.blocking import BlockingMethod, StandardBlocking
 from repro.linking.comparators import FieldComparator, RecordComparator
 from repro.linking.matchers import ThresholdMatcher
 from repro.linking.records import RecordStore
 from repro.rdf.graph import Graph
-from repro.rdf.namespace import RDFS, Namespace
+from repro.rdf.namespace import Namespace
 from repro.rdf.terms import Literal, Term
 from repro.rdf.triples import Triple
 
@@ -157,23 +154,6 @@ THROUGHPUT_HEADER = (
     f"{'|S_E|':<8}{'executor':<9}{'pairs':<10}{'matches':<9}"
     f"{'F1':>6} {'time':>9} {'pairs/s':>11} {'cache':>7} {'chunks':>7}"
 )
-
-
-def toponym_linking_setup(
-    config: ToponymConfig | None = None,
-    gazetteer: GeneratedGazetteer | None = None,
-    match_threshold: float = 0.85,
-) -> Tuple[BlockingMethod, RecordComparator, ThresholdMatcher, RecordStore, RecordStore, List[Pair]]:
-    """Everything a linking job needs on the toponym (second) domain."""
-    if gazetteer is None:
-        gazetteer = generate_gazetteer(config or ToponymConfig())
-    external = RecordStore.from_graph(gazetteer.external_graph, {"label": RDFS.label})
-    local = RecordStore.from_graph(gazetteer.local_graph, {"label": RDFS.label})
-    blocking = StandardBlocking.on_field_prefix("label", length=4)
-    comparator = RecordComparator([FieldComparator("label")])
-    matcher = ThresholdMatcher(match_threshold=match_threshold)
-    truth = [(ext, loc) for ext, loc in gazetteer.truth.items()]
-    return blocking, comparator, matcher, external, local, truth
 
 
 def main() -> None:

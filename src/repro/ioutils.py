@@ -1,20 +1,15 @@
-"""Crash-safe filesystem primitives shared across subsystems.
+"""Crash-safe filesystem primitives.
 
-Benchmark result files (:mod:`repro.bench.io`) and index artifact
-bundles (:mod:`repro.index.artifacts`) both persist state that other
-runs read back later — a writer killed mid-write must never leave a
-truncated file where a complete one used to be. Both go through
-:func:`atomic_write_text`: the bytes land in a uniquely-named temp file
-*in the same directory* (so the final rename cannot cross filesystems)
-and are published with ``os.replace``, which is atomic on POSIX and
-Windows. Readers see either the old complete file or the new complete
-file, never a partial one — including under concurrent writers, since
-every writer gets its own temp name from :func:`tempfile.mkstemp`.
-
-:func:`find_repo_root` locates the repository checkout from an anchor
-path — the default-directory resolution used by the benchmark I/O so
-``repro bench run`` from a subdirectory stops scattering ``benchmarks/``
-trees relative to whatever the cwd happens to be.
+Index artifact bundles (:mod:`repro.index.artifacts`) persist state
+that other runs read back later — a writer killed mid-write must never
+leave a truncated file where a complete one used to be. Every component
+goes through :func:`atomic_write_text`: the bytes land in a
+uniquely-named temp file *in the same directory* (so the final rename
+cannot cross filesystems) and are published with ``os.replace``, which
+is atomic on POSIX and Windows. Readers see either the old complete
+file or the new complete file, never a partial one — including under
+concurrent writers, since every writer gets its own temp name from
+:func:`tempfile.mkstemp`.
 """
 
 from __future__ import annotations
@@ -22,13 +17,6 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Optional
-
-#: Filenames that mark the repository root, checked in order. The
-#: ``benchmarks`` directory is required alongside so an unrelated
-#: checkout that merely has a pyproject is not mistaken for this repo.
-_ROOT_MARKER = "pyproject.toml"
-_ROOT_SIBLING = "benchmarks"
 
 
 def atomic_write_text(path: Path | str, text: str, encoding: str = "utf-8") -> Path:
@@ -58,20 +46,3 @@ def atomic_write_text(path: Path | str, text: str, encoding: str = "utf-8") -> P
         raise
     return path
 
-
-def find_repo_root(start: Path | str | None = None) -> Optional[Path]:
-    """The repository root at or above *start*, or ``None``.
-
-    Walks upward looking for a directory holding both ``pyproject.toml``
-    and a ``benchmarks/`` tree. Defaults to anchoring at this source
-    file, which resolves the checkout that the imported package actually
-    lives in — independent of the invoking directory.
-    """
-    anchor = Path(start) if start is not None else Path(__file__)
-    anchor = anchor.resolve()
-    if anchor.is_file():
-        anchor = anchor.parent
-    for candidate in (anchor, *anchor.parents):
-        if (candidate / _ROOT_MARKER).is_file() and (candidate / _ROOT_SIBLING).is_dir():
-            return candidate
-    return None

@@ -14,8 +14,7 @@ Consumers:
 
 * ``tests/scenarios/`` — golden-snapshot regression layer
   (``--snapshot-update`` regenerates);
-* ``benchmarks/bench_scenarios.py`` — batch-vs-streaming throughput
-  with JSON-twin results;
+* ``tests/engine/`` — the batched-scoring differential layer;
 * ``repro scenarios list|run`` — the CLI surface.
 
 Importing this package populates the registry (the library module

@@ -4,8 +4,7 @@ A *scenario* is a fully seeded, end-to-end linking workload: generated
 source/target stores, ground truth, a linking configuration (blocking,
 comparison, matching) and an **expected-metrics envelope** the run must
 land inside. Scenarios are the unit of regression testing (golden
-snapshots), benchmarking (``bench_scenarios``) and CLI exploration
-(``repro scenarios run``).
+snapshots) and CLI exploration (``repro scenarios run``).
 
 The spec layer is deliberately thin: a :class:`ScenarioSpec` names and
 describes the workload and knows how to :meth:`~ScenarioSpec.build` it;

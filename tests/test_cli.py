@@ -16,6 +16,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["nonsense"])
 
+    def test_bench_command_is_retired(self, capsys):
+        # performance is measured by perf/run.py, not by the CLI
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench"])
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command",
         ["table1", "stats", "sweeps", "blocking", "generalization",
@@ -133,6 +139,25 @@ class TestExecution:
         code = main(["generality", "--preset", "tiny"])
         assert code == 0
         assert "toponym" in capsys.readouterr().out
+
+    def test_blocking_tiny(self, capsys):
+        code = main(
+            ["blocking", "--preset", "tiny", "--test-items", "60",
+             "--support-threshold", "0.01"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "rule-based (strict)" in out
+        assert "rule-based (paper)" in out
+
+    def test_generalization_tiny(self, capsys):
+        code = main(
+            ["generalization", "--preset", "tiny", "--support-threshold", "0.01"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "X1 rule generalization" in out
+        assert "extended" in out
 
     def test_link_tiny_serial(self, capsys):
         code = main(
@@ -291,116 +316,6 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "A5 linking throughput" in out
         assert "pairs/s" in out
-
-
-class TestBenchCommand:
-    def test_bench_flags_parse(self):
-        args = build_parser().parse_args(
-            ["bench", "compare", "--tier", "smoke", "--bench", "a", "--bench", "b",
-             "--fail-on-regression", "--fail-on-missing", "--json"]
-        )
-        assert args.action == "compare"
-        assert args.tier == "smoke"
-        assert args.benchmarks == ["a", "b"]
-        assert args.fail_on_regression and args.fail_on_missing and args.json
-
-    def test_bench_rejects_unknown_action(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "audit"])
-
-    def test_bench_rejects_unknown_tier(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "run", "--tier", "nightly"])
-
-    def test_bench_list(self, capsys):
-        code = main(["bench", "list"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "smoke-streaming-cache" in out
-        assert "table1" in out
-        assert "tier" in out
-
-    def test_bench_list_smoke_tier_only(self, capsys):
-        code = main(["bench", "list", "--tier", "smoke"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "smoke-learner" in out
-        assert "\ntable1" not in out
-
-    def test_bench_list_json(self, capsys):
-        code = main(["bench", "list", "--json"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        by_name = {entry["benchmark"]: entry for entry in payload}
-        assert by_name["smoke-streaming-cache"]["tier"] == "smoke"
-        assert "speedup" in by_name["smoke-streaming-cache"]["gated_metrics"]
-
-    def test_bench_run_single_writes_trajectory(self, tmp_path, capsys):
-        from repro.bench import read_result
-        from repro.bench.io import trajectory_dir
-
-        code = main(
-            ["bench", "run", "--bench", "smoke-learner",
-             "--results-dir", str(tmp_path)]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "1 benchmark(s) ok" in out
-        record = read_result(trajectory_dir(tmp_path), "smoke-learner")
-        assert record is not None
-        assert record.metrics["rules"] > 0
-        # the legacy twins are written alongside
-        assert (tmp_path / "smoke_learner.txt").exists()
-        assert (tmp_path / "smoke_learner.json").exists()
-
-    def test_bench_run_json_output(self, tmp_path, capsys):
-        code = main(
-            ["bench", "run", "--bench", "smoke-learner",
-             "--results-dir", str(tmp_path), "--json"]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload[0]["benchmark"] == "smoke-learner"
-        assert payload[0]["schema_version"] == 1
-
-    def test_bench_run_unknown_name_errors_cleanly(self, tmp_path, capsys):
-        code = main(
-            ["bench", "run", "--bench", "no-such-bench",
-             "--results-dir", str(tmp_path)]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "unknown benchmark" in err
-        assert "registered:" in err
-
-    def test_bench_compare_unknown_name_errors_cleanly(self, tmp_path, capsys):
-        code = main(
-            ["bench", "compare", "--bench", "no-such-bench",
-             "--results-dir", str(tmp_path), "--baseline-dir", str(tmp_path)]
-        )
-        assert code == 2
-        assert "unknown benchmark" in capsys.readouterr().err
-
-    def test_bench_compare_json(self, tmp_path, capsys):
-        results = tmp_path / "results"
-        code = main(
-            ["bench", "run", "--bench", "smoke-learner", "--results-dir",
-             str(results), "--update-baselines", "--baseline-dir",
-             str(tmp_path / "baselines")]
-        )
-        assert code == 0
-        capsys.readouterr()
-        code = main(
-            ["bench", "compare", "--bench", "smoke-learner", "--results-dir",
-             str(results), "--baseline-dir", str(tmp_path / "baselines"),
-             "--json"]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload[0]["benchmark"] == "smoke-learner"
-        assert payload[0]["status"] == "ok"
-        statuses = {m["metric"]: m["status"] for m in payload[0]["metrics"]}
-        assert set(statuses) == {"wall_seconds", "learn_seconds"}
 
 
 class TestArtifactsCommand:
