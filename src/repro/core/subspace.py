@@ -9,6 +9,10 @@ rules involving i."
 
 The paper's headline motivation is the reduction against the naive
 ``|S_E| × |S_L|`` space; :class:`SubspaceReduction` quantifies it.
+
+Items are keyed by their predicted class-set, so memory scales with the
+number of distinct class-sets, not with items × pool size:
+``candidates_for`` returns a shared immutable set.
 """
 
 from __future__ import annotations
@@ -82,17 +86,19 @@ class LinkingSubspace:
         ``include_subclasses`` widens ``c(j)`` to instances of subclasses
         of ``c`` — harmless for leaf conclusions and required for the
         generalization extension whose conclusions are inner classes.
+        The union is built once per distinct predicted class-set, and
+        every item with that class-set shares the one frozenset.
         """
+        pools: Dict[FrozenSet[IRI], FrozenSet[Term]] = {}
         candidates: Dict[Term, FrozenSet[Term]] = {}
         for item, preds in predictions.items():
-            pool: set[Term] = set()
-            for pred in preds:
-                pool.update(
-                    ontology.instances_of(
-                        pred.predicted_class, include_subclasses=include_subclasses
-                    )
+            key = frozenset(pred.predicted_class for pred in preds)
+            pool = pools.get(key)
+            if pool is None:
+                pool = pools[key] = frozenset().union(
+                    *(ontology.instances_of(c, include_subclasses) for c in key)
                 )
-            candidates[item] = frozenset(pool)
+            candidates[item] = pool
         return cls(candidates)
 
     # ------------------------------------------------------------------

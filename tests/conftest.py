@@ -11,6 +11,8 @@ Expected rules:
 * ``ohm ⇒ Resistor``   both=3 premise=4  -> conf=0.75, lift=1.875
 """
 
+import os
+
 import pytest
 from hypothesis import settings as hypothesis_settings
 
@@ -19,9 +21,11 @@ from repro.core import SameAsLink, TrainingSet
 # CI runs the property suites under a pinned, reproducible profile
 # (HYPOTHESIS_PROFILE=ci): derandomized so a red build is re-runnable,
 # no deadline so shared-runner jitter cannot flake an example.
+# Hypothesis does not read the variable itself, so it is loaded here.
 hypothesis_settings.register_profile(
     "ci", derandomize=True, deadline=None, print_blob=True
 )
+hypothesis_settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 from repro.ontology import Ontology
 from repro.rdf import EX, Graph, Literal, Triple
 

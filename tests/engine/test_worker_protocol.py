@@ -10,10 +10,11 @@ Four layers:
   comparator's vocabulary pin must agree with its field spec;
 * **the CLI worker** — ``repro worker run-unit`` reads one envelope on
   stdin and answers one on stdout (exit 2 + stderr on a bad unit);
-* **transport degradation** — a subprocess that cannot be spawned, or
-  one killed for outliving ``WORKER_TIMEOUT_S``, drops the job to the
-  serial path via the engine's existing ``FALLBACK_ERRORS`` chain,
-  byte-identically.
+* **transport degradation** — a subprocess that cannot be spawned, one
+  killed for outliving ``WORKER_TIMEOUT_S``, and real children that exit
+  non-zero, SIGKILL themselves or answer garbage each drop the job to
+  the serial path via the engine's existing ``FALLBACK_ERRORS`` chain,
+  byte-identically, with the reason in ``stats.fallback_reason``.
 """
 
 import dataclasses
@@ -198,6 +199,37 @@ def hung_worker(monkeypatch):
     return worker_module
 
 
+# Real child processes that read their unit from stdin, then fail:
+# (script, the reason the job must record when it falls back to serial)
+FAILING_WORKERS = {
+    "nonzero-exit": (
+        "import sys; sys.stdin.read(); "
+        "sys.stderr.write('starting\\nunit rejected\\n'); sys.exit(3)",
+        "worker subprocess exited 3: unit rejected",
+    ),
+    "sigkill": (
+        "import os, signal, sys; sys.stdin.read(); os.kill(os.getpid(), signal.SIGKILL)",
+        "worker subprocess exited -9",
+    ),
+    "garbage-stdout": (
+        "import sys; sys.stdin.read(); sys.stdout.write('not an envelope')",
+        "shard 0 returned an invalid result",
+    ),
+}
+
+
+@pytest.fixture(params=sorted(FAILING_WORKERS))
+def failing_worker(request, monkeypatch):
+    """Worker subprocesses that fail one way each; returns the expected reason."""
+    import repro.engine.executors.worker as worker_module
+
+    script, reason = FAILING_WORKERS[request.param]
+    monkeypatch.setattr(
+        worker_module, "_worker_command", lambda: [sys.executable, "-c", script]
+    )
+    return reason
+
+
 class TestTransportDegradation:
     def _serial_and_worker(self, external, local):
         comparator = RecordComparator([FieldComparator("pn")])
@@ -238,4 +270,14 @@ class TestTransportDegradation:
         assert degraded.matches == serial.matches
         assert degraded.stats.executor == "serial"
         assert "timed out after 0.5 s" in degraded.stats.fallback_reason
+        assert degraded.stats.work_units == 0
+
+    def test_failing_subprocess_falls_back_to_serial(self, failing_worker, workload):
+        serial, degraded = self._serial_and_worker(*workload)
+        assert degraded.matches == serial.matches
+        assert degraded.compared == serial.compared
+        assert degraded.stats.executor == "serial"
+        assert degraded.stats.fallback_reason.startswith(
+            f"WorkerTransportError: {failing_worker}"
+        )
         assert degraded.stats.work_units == 0
