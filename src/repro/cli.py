@@ -223,13 +223,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--progress", action="store_true", help="print per-chunk progress to stderr"
     )
-    parser.add_argument(
-        "--index",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="back blocking/classification with the shared inverted "
-        "feature index (--no-index falls back to the scan paths)",
-    )
 
 
 def _cmd_link(args: argparse.Namespace) -> int:
@@ -265,18 +258,15 @@ def _cmd_link(args: argparse.Namespace) -> int:
             catalog.ontology,
             test_graph,
             fallback_full=args.blocking == "rules",
-            use_index=args.index,
         )
     elif args.blocking == "sorted":
         blocking = SortedNeighbourhood.on_field("pn", window_size=7)
     elif args.blocking == "qgram":
-        blocking = QGramBlocking("pn", q=2, threshold=0.8, use_index=args.index)
+        blocking = QGramBlocking("pn", q=2, threshold=0.8)
     elif args.blocking == "canopy":
         blocking = CanopyBlocking("pn", loose=0.5, tight=0.9)
     else:
-        blocking = StandardBlocking.on_field_prefix(
-            "pn", length=4, use_index=args.index
-        )
+        blocking = StandardBlocking.on_field_prefix("pn", length=4)
 
     job = LinkingJob(
         blocking,
@@ -315,7 +305,6 @@ def _cmd_throughput(args: argparse.Namespace) -> int:
         sizes=tuple(args.sizes),
         job_config=_job_config(args),
         seed=4242 if args.seed is None else args.seed,
-        use_index=args.index,
     )
     print(THROUGHPUT_HEADER)
     for row in rows:
@@ -432,7 +421,6 @@ def _cmd_artifacts(args: argparse.Namespace) -> int:
                 blocking=args.blocking,
                 support_threshold=args.support_threshold,
                 match_threshold=args.match_threshold,
-                use_index=args.index,
                 warm_items=args.warm_items,
             )
         except ServeError as exc:
@@ -707,12 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="pre-warm the similarity cache by linking one provider "
         "batch of this size (0 = no cache in the bundle)",
-    )
-    artifacts.add_argument(
-        "--index",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="snapshot the shared key indexes into the bundle",
     )
     artifacts.add_argument(
         "--json", action="store_true", help="inspect: emit the summary as JSON"

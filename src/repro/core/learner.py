@@ -22,21 +22,20 @@ lengths, pass 3 is the posting intersection
 ``freq(p ∧ a ∧ c) = |post(p, a) ∩ post(c)|``. :meth:`RuleLearner.learn`
 builds the index when none is supplied; callers relearning under
 several thresholds (sweeps, benchmarks) build it once via
-:meth:`RuleLearner.build_index` and amortize pass 0 away.
-:meth:`RuleLearner.learn_scan` keeps the original Counter-based passes
-as the reference oracle — the equivalence tests assert both paths emit
-byte-identical rule sets and statistics.
+:meth:`RuleLearner.build_index` and amortize pass 0 away. The original
+Counter-based passes live on only as the test oracle
+``tests/oracles/learner.py``; the equivalence tests assert both emit
+identical rule sets and statistics.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.core.measures import ContingencyCounts, RuleQualityMeasures
 from repro.core.rules import ClassificationRule, RuleSet
-from repro.core.training import TrainingExample, TrainingSet
+from repro.core.training import TrainingSet
 from repro.index import TrainingFeatureIndex
 from repro.rdf.terms import IRI
 from repro.text.segmentation import SegmentFunction, SeparatorSegmenter
@@ -185,107 +184,6 @@ class RuleLearner:
             selected_segment_occurrences=index.selected_occurrences(selected_segments),
             frequent_pairs=len(pair_counts),
             frequent_classes=len(class_counts),
-            rule_count=len(rules),
-        )
-        return RuleSet(rules)
-
-    # ------------------------------------------------------------------
-    # Algorithm 1 — original scan passes (reference oracle)
-    # ------------------------------------------------------------------
-    def learn_scan(self, training_set: TrainingSet) -> RuleSet:
-        """The original Counter-based passes, kept as the reference.
-
-        The index tests assert :meth:`learn` reproduces this output
-        byte-for-byte; everything else should call :meth:`learn`.
-        """
-        config = self.config
-        examples = training_set.examples(
-            list(config.properties) if config.properties is not None else None
-        )
-        total = len(examples)
-        min_count = self._min_count(total)
-
-        # Pass 0: segment every value once; remember per-example segment
-        # sets (set semantics per link) and corpus occurrence counts.
-        segmented: List[Dict[IRI, FrozenSet[str]]] = []
-        occurrence_counter: Counter[str] = Counter()
-        for example in examples:
-            per_property: Dict[IRI, set[str]] = {}
-            for prop, values in example.property_values.items():
-                segments: set[str] = set()
-                for value in values:
-                    pieces = config.segmenter(value)
-                    occurrence_counter.update(pieces)
-                    segments.update(pieces)
-                if segments:
-                    per_property[prop] = segments
-            segmented.append(
-                {prop: frozenset(segs) for prop, segs in per_property.items()}
-            )
-
-        # Pass 1: frequent (property, segment) pairs.
-        pair_counts: Counter[Tuple[IRI, str]] = Counter()
-        for per_property in segmented:
-            for prop, segments in per_property.items():
-                for segment in segments:
-                    pair_counts[(prop, segment)] += 1
-        frequent_pairs = {
-            pair for pair, count in pair_counts.items() if count >= min_count
-        }
-
-        # Pass 2: frequent most-specific classes.
-        class_counts: Counter[IRI] = Counter()
-        for example in examples:
-            for cls in example.classes:
-                class_counts[cls] += 1
-        frequent_classes = {
-            cls for cls, count in class_counts.items() if count >= min_count
-        }
-
-        # Pass 3: frequent conjunctions -> rules with measures.
-        conjunction_counts: Counter[Tuple[IRI, str, IRI]] = Counter()
-        for example, per_property in zip(examples, segmented):
-            if not example.classes:
-                continue
-            for prop, segments in per_property.items():
-                for segment in segments:
-                    if (prop, segment) not in frequent_pairs:
-                        continue
-                    for cls in example.classes:
-                        if cls in frequent_classes:
-                            conjunction_counts[(prop, segment, cls)] += 1
-
-        rules: List[ClassificationRule] = []
-        for (prop, segment, cls), both in conjunction_counts.items():
-            if both < min_count:
-                continue
-            counts = ContingencyCounts(
-                both=both,
-                premise=pair_counts[(prop, segment)],
-                conclusion=class_counts[cls],
-                total=total,
-            )
-            rules.append(
-                ClassificationRule(
-                    property=prop,
-                    segment=segment,
-                    conclusion=cls,
-                    measures=RuleQualityMeasures.from_counts(counts),
-                    counts=counts,
-                )
-            )
-
-        selected_segments = {segment for _, segment in frequent_pairs}
-        selected_occurrences = sum(
-            occurrence_counter[segment] for segment in selected_segments
-        )
-        self._statistics = LearningStatistics(
-            total_links=total,
-            distinct_segments=len(occurrence_counter),
-            segment_occurrences=sum(occurrence_counter.values()),
-            selected_segment_occurrences=selected_occurrences,
-            frequent_pairs=len(frequent_pairs),
-            frequent_classes=len(frequent_classes),
             rule_count=len(rules),
         )
         return RuleSet(rules)

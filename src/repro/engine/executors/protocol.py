@@ -65,8 +65,9 @@ from repro.text.similarity import jaro_winkler_similarity
 WORK_UNIT_FORMAT = "repro-shard-work-unit"
 WORKER_RESULT_FORMAT = "repro-worker-result"
 
-#: Bumped on any incompatible change to the envelope bodies.
-PROTOCOL_SCHEMA_VERSION = 1
+#: Bumped on any incompatible change to the envelope bodies (2: the
+#: blocking specs dropped their index-or-scan toggle).
+PROTOCOL_SCHEMA_VERSION = 2
 
 
 class WorkUnitError(ValueError):
@@ -141,12 +142,7 @@ def blocking_to_spec(blocking: BlockingMethod) -> Dict[str, Any]:
         return {"kind": "full"}
     if type(blocking) is StandardBlocking:
         field_name, length = blocking._key.args
-        return {
-            "kind": "prefix",
-            "field": field_name,
-            "length": length,
-            "use_index": blocking._use_index,
-        }
+        return {"kind": "prefix", "field": field_name, "length": length}
     if type(blocking) is SortedNeighbourhood:
         (field_name,) = blocking._key.args
         return {"kind": "sorted", "field": field_name, "window": blocking._window}
@@ -157,7 +153,6 @@ def blocking_to_spec(blocking: BlockingMethod) -> Dict[str, Any]:
             "q": blocking._q,
             "threshold": blocking._threshold,
             "max_grams": blocking._max_grams,
-            "use_index": blocking._use_index,
         }
     if type(blocking) is CanopyBlocking:
         return {
@@ -179,7 +174,6 @@ def blocking_to_spec(blocking: BlockingMethod) -> Dict[str, Any]:
         "ontology": serialize_ntriples(ontology_to_graph(blocking._ontology)),
         "graph": serialize_ntriples(blocking._graph),
         "fallback_full": blocking._fallback_full,
-        "use_index": blocking._use_index,
     }
 
 
@@ -189,9 +183,7 @@ def blocking_from_spec(spec: Mapping[str, Any]) -> BlockingMethod:
     if kind == "full":
         return FullIndex()
     if kind == "prefix":
-        return StandardBlocking.on_field_prefix(
-            spec["field"], length=spec["length"], use_index=spec["use_index"]
-        )
+        return StandardBlocking.on_field_prefix(spec["field"], length=spec["length"])
     if kind == "sorted":
         return SortedNeighbourhood.on_field(spec["field"], window_size=spec["window"])
     if kind == "qgram":
@@ -200,7 +192,6 @@ def blocking_from_spec(spec: Mapping[str, Any]) -> BlockingMethod:
             q=spec["q"],
             threshold=spec["threshold"],
             max_grams=spec["max_grams"],
-            use_index=spec["use_index"],
         )
     if kind == "canopy":
         return CanopyBlocking(
@@ -217,7 +208,6 @@ def blocking_from_spec(spec: Mapping[str, Any]) -> BlockingMethod:
             ontology_from_graph(parse_ntriples(spec["ontology"])),
             parse_ntriples(spec["graph"]),
             fallback_full=spec["fallback_full"],
-            use_index=spec["use_index"],
         )
     raise WorkUnitError(f"unknown blocking spec kind {kind!r}")
 

@@ -64,9 +64,10 @@ class EngineStats:
     runs (the scorer never consults the pairwise cache), so a zero hit
     rate there is honest, not a regression.
 
-    The ``index_*`` fields report the blocking method's shared inverted
-    index (see :mod:`repro.index`) when one was used: build/probe wall
-    time and posting-list sizes. They stay zero for scan-based blocking.
+    The ``index_*`` fields report the blocking method's key or rule
+    index (see :mod:`repro.index`) when it has one: build/probe wall
+    time and posting-list sizes. They stay zero for blocking methods
+    without an index (full, sorted-neighbourhood, canopy).
 
     The transport counters prove serialization actually happened:
     ``work_units`` counts shard work units that crossed a

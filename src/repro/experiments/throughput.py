@@ -100,20 +100,17 @@ def run_linking_throughput(
     blocking: BlockingMethod | None = None,
     match_threshold: float = 0.9,
     seed: int = 4242,
-    use_index: bool = True,
 ) -> List[ThroughputRow]:
     """Link provider batches of growing size through the engine.
 
-    With ``use_index`` (and no explicit *blocking*), the local catalog's
-    block index is built once by the first run and shared by every
-    subsequent batch size — the cross-run payoff of ``repro.index``.
+    With the default prefix blocking, the local catalog's block index
+    is built once by the first run and shared by every subsequent batch
+    size — the cross-run payoff of ``repro.index``.
     """
     if catalog is None:
         catalog = ElectronicCatalogGenerator(CatalogConfig.small()).generate()
     config = job_config or JobConfig(executor="serial", chunk_size=512)
-    blocking = blocking or StandardBlocking.on_field_prefix(
-        "pn", length=4, use_index=use_index
-    )
+    blocking = blocking or StandardBlocking.on_field_prefix("pn", length=4)
     # the maker field repeats heavily across the catalog — exactly the
     # redundancy the engine's similarity cache exists to exploit
     comparator = RecordComparator(

@@ -11,12 +11,14 @@ One indexed representation backs all four consuming layers:
   probes a (property, segment) → rules table instead of scanning every
   rule per record;
 * blocking (:mod:`repro.linking.blocking`) — q-gram and key blocking
-  probe per-store :class:`RecordKeyIndex` posting lists, built once and
-  shared via :func:`shared_record_index`.
+  read per-store :class:`RecordKeyIndex` key → record-ordinal lists,
+  built once and shared via :func:`shared_record_index`.
 
-The primitives are an interned :class:`FeatureVocabulary` (features →
-dense int ids) and sorted-int :class:`PostingList`\\ s supporting
-intersection, union, count and incremental append.
+The learning side's primitives are an interned
+:class:`FeatureVocabulary` (features → dense int ids) and sorted-int
+:class:`PostingList`\\ s supporting intersection, union, count and
+incremental append. The record side only reads whole postings, so it
+keeps a plain dict of int lists.
 """
 
 from repro.index.inverted import IndexStats, InvertedIndex

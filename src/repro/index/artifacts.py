@@ -10,8 +10,8 @@ surface as an **artifact bundle** — a directory of schema-checked JSON
 components plus one manifest — so an engine session opens in O(1):
 
 * ``store.json`` — the local :class:`~repro.linking.records.RecordStore`;
-* ``indexes.json`` — shared key indexes by cache signature
-  (:class:`FeatureVocabulary` + :class:`PostingList` round-trips);
+* ``indexes.json`` — shared key indexes by cache signature (keys and
+  their record-ordinal lists);
 * ``rules.json`` — the learned rule set, via :mod:`repro.core.serialize`;
 * ``ontology.nt`` — the ontology (rule-based blocking needs it), via
   the existing RDF round-trip;
@@ -40,12 +40,10 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional
 
-from repro.index.inverted import InvertedIndex
 from repro.index.keys import RecordKeyIndex
 from repro.index.postings import PostingList
-from repro.index.vocabulary import FeatureVocabulary
 from repro.ioutils import atomic_write_text
 from repro.rdf.terms import IRI, BNode, Literal, Term
 
@@ -170,44 +168,37 @@ def posting_to_payload(posting: PostingList) -> List[int]:
     return posting.to_list()
 
 
-def posting_from_payload(rows: Sequence[int]) -> PostingList:
-    """Rebuild a posting list; rows must be strictly increasing."""
-    posting = PostingList()
+def record_key_index_to_payload(index: RecordKeyIndex) -> Dict[str, Any]:
+    """A record key index: ids (as terms) + keys and their ordinal lists,
+    positionally aligned in first-seen key order."""
+    return {
+        "ids": [
+            term_to_payload(index.id_of(ordinal))
+            for ordinal in range(index.record_count)
+        ],
+        "index": {
+            "features": list(index._postings),
+            "postings": list(index._postings.values()),
+        },
+        "build_seconds": index.build_seconds,
+    }
+
+
+def record_key_index_from_payload(payload: Mapping[str, Any]) -> RecordKeyIndex:
+    """Rebuild a record key index, validating every posting.
+
+    A bundle is input from disk, so each posting must be a non-empty,
+    strictly increasing list of ints inside ``range(len(ids))`` — the
+    only shape :meth:`RecordKeyIndex.build` produces. Anything else is
+    rejected here rather than failing at the first probe.
+    """
     try:
-        for row in rows:
-            posting.append(row)
-    except (TypeError, ValueError) as exc:
-        raise ArtifactError(f"malformed posting payload: {exc}") from exc
-    return posting
-
-
-def vocabulary_to_payload(vocabulary: FeatureVocabulary) -> List[Any]:
-    """Features in dense-id order (ids are implied by position)."""
-    return [feature for feature, _ in vocabulary.items()]
-
-
-def vocabulary_from_payload(features: Sequence[Any]) -> FeatureVocabulary:
-    """Rebuild a vocabulary; interning in order reassigns the same ids."""
-    vocabulary = FeatureVocabulary()
-    for feature in features:
-        vocabulary.intern(feature)
-    return vocabulary
-
-
-def inverted_index_to_payload(index: InvertedIndex) -> Dict[str, Any]:
-    """Vocabulary + postings, positionally aligned by feature id."""
-    features: List[Any] = []
-    postings: List[List[int]] = []
-    for feature, _, posting in index.features():
-        features.append(feature)
-        postings.append(posting_to_payload(posting))
-    return {"features": features, "postings": postings}
-
-
-def inverted_index_from_payload(payload: Mapping[str, Any]) -> InvertedIndex:
-    """Rebuild an inverted index feature by feature, rows in order."""
-    features = payload.get("features")
-    postings = payload.get("postings")
+        ids = [term_from_payload(entry) for entry in payload["ids"]]
+        features = payload["index"]["features"]
+        postings = payload["index"]["postings"]
+        build_seconds = float(payload.get("build_seconds", 0.0))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"malformed key-index payload: {exc}") from exc
     if not isinstance(features, list) or not isinstance(postings, list):
         raise ArtifactError("malformed index payload: features/postings missing")
     if len(features) != len(postings):
@@ -215,38 +206,27 @@ def inverted_index_from_payload(payload: Mapping[str, Any]) -> InvertedIndex:
             f"malformed index payload: {len(features)} features vs "
             f"{len(postings)} postings"
         )
-    index = InvertedIndex()
-    for feature, rows in zip(features, postings):
-        if not rows:
-            # the build path only ever creates a feature together with
-            # its first row, so an empty posting cannot round-trip
-            raise ArtifactError(f"malformed index payload: empty posting for {feature!r}")
-        for row in rows:
-            index.add(feature, row)
-    return index
-
-
-def record_key_index_to_payload(index: RecordKeyIndex) -> Dict[str, Any]:
-    """A record key index: ids (as terms) + its inverted index."""
-    return {
-        "ids": [
-            term_to_payload(index.id_of(ordinal))
-            for ordinal in range(index.record_count)
-        ],
-        "index": inverted_index_to_payload(index._index),
-        "build_seconds": index.build_seconds,
-    }
-
-
-def record_key_index_from_payload(payload: Mapping[str, Any]) -> RecordKeyIndex:
-    """Rebuild a record key index from its payload."""
-    try:
-        ids = [term_from_payload(entry) for entry in payload["ids"]]
-        inner = inverted_index_from_payload(payload["index"])
-        build_seconds = float(payload.get("build_seconds", 0.0))
-    except (KeyError, TypeError) as exc:
-        raise ArtifactError(f"malformed key-index payload: {exc}") from exc
-    return RecordKeyIndex(ids, inner, build_seconds)
+    index: Dict[str, List[int]] = {}
+    for key, rows in zip(features, postings):
+        if not isinstance(key, str) or key in index:
+            raise ArtifactError(f"malformed index payload: bad or repeated key {key!r}")
+        if not isinstance(rows, list) or not rows:
+            # the build path only ever creates a key together with its
+            # first row, so an empty posting cannot round-trip
+            raise ArtifactError(f"malformed index payload: empty posting for {key!r}")
+        if not all(type(row) is int for row in rows):
+            raise ArtifactError(f"malformed index payload: non-integer row for {key!r}")
+        if any(a >= b for a, b in zip(rows, rows[1:])):
+            raise ArtifactError(
+                f"malformed index payload: rows for {key!r} not strictly increasing"
+            )
+        if rows[0] < 0 or rows[-1] >= len(ids):
+            raise ArtifactError(
+                f"malformed index payload: row out of range for {key!r} "
+                f"({len(ids)} records)"
+            )
+        index[key] = rows
+    return RecordKeyIndex(ids, index, build_seconds)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@
 
 Blocking methods derive key material from records (q-gram sub-lists,
 key prefixes, phonetic codes...) and need, per key, the local records
-carrying it. :class:`RecordKeyIndex` builds that once per store — keys
-map to posting lists of record *ordinals* (positions in store order) so
-candidate emission preserves the exact order the scan-based
-implementations produced.
+carrying it. :class:`RecordKeyIndex` builds that once per store: a plain
+dict from key to the list of record *ordinals* (positions in store
+order) carrying it, so candidates come out in store order.
+
+The record side never intersects or unions its postings (it only reads
+them whole), so it skips the interned vocabulary and the
+:class:`~repro.index.postings.PostingList` wrapper the training side
+needs: a dict of int lists is the cheapest structure to build.
 
 :func:`shared_record_index` memoizes indexes per
 :class:`~repro.linking.records.RecordStore` (weakly, so stores stay
@@ -19,7 +23,7 @@ import time
 import weakref
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Sequence, Tuple
 
-from repro.index.inverted import IndexStats, InvertedIndex
+from repro.index.inverted import IndexStats
 from repro.rdf.terms import Term
 
 if TYPE_CHECKING:  # pragma: no cover - circular import guard
@@ -32,45 +36,56 @@ KeyFunction = Callable[["Record"], Iterable[str]]
 class RecordKeyIndex:
     """Inverted index: blocking key → records (in store order).
 
+    ``postings`` maps each key to the strictly increasing ordinals of
+    the records carrying it; ``ids`` maps an ordinal back to its id.
+
     >>> index = RecordKeyIndex.build(local_store, keys_for=qgram_keys)
     >>> list(index.candidates("crcw"))
     [EX.p1, EX.p7]
     """
 
-    __slots__ = ("_ids", "_index", "build_seconds", "probe_seconds")
+    __slots__ = ("_ids", "_postings", "build_seconds", "probe_seconds")
 
-    def __init__(self, ids: Sequence[Term], index: InvertedIndex, build_seconds: float) -> None:
+    def __init__(
+        self,
+        ids: Sequence[Term],
+        postings: Dict[str, List[int]],
+        build_seconds: float,
+    ) -> None:
         self._ids: Tuple[Term, ...] = tuple(ids)
-        self._index = index
+        self._postings = postings
         self.build_seconds = build_seconds
         #: cumulative probe time, accumulated by callers via :meth:`probed`.
         self.probe_seconds = 0.0
 
     @classmethod
     def build(cls, store: "RecordStore", keys_for: KeyFunction) -> "RecordKeyIndex":
-        """Index every record of *store* under its derived keys."""
+        """Index every record of *store* under its derived keys.
+
+        Empty keys are skipped, and a key a record yields twice is
+        posted once.
+        """
         started = time.perf_counter()
         ids: List[Term] = []
-        index = InvertedIndex()
+        postings: Dict[str, List[int]] = {}
         for ordinal, record in enumerate(store):
             ids.append(record.id)
             for key in keys_for(record):
-                if key:
-                    index.add(key, ordinal)
-        return cls(ids, index, time.perf_counter() - started)
+                if not key:
+                    continue
+                posting = postings.get(key)
+                if posting is None:
+                    postings[key] = [ordinal]
+                elif posting[-1] != ordinal:
+                    posting.append(ordinal)
+        return cls(ids, postings, time.perf_counter() - started)
 
     # ------------------------------------------------------------------
     # probes
     # ------------------------------------------------------------------
     def candidates(self, key: str) -> Iterable[Term]:
         """Record ids indexed under *key*, in store order."""
-        ids = self._ids
-        for ordinal in self._index.posting(key):
-            yield ids[ordinal]
-
-    def candidate_ordinals(self, key: str) -> Iterable[int]:
-        """Record ordinals indexed under *key* (posting list order)."""
-        return self._index.posting(key)
+        return map(self._ids.__getitem__, self._postings.get(key, ()))
 
     def id_of(self, ordinal: int) -> Term:
         """The record id at *ordinal* (store order at build time)."""
@@ -84,29 +99,30 @@ class RecordKeyIndex:
     def key_sizes(self) -> Dict[str, int]:
         """Posting length per key — the block-size stats the engine's
         :class:`~repro.engine.shard.ShardPlan` balances shards with."""
-        return {
-            str(key): len(posting) for key, _, posting in self._index.features()
-        }
+        return {key: len(posting) for key, posting in self._postings.items()}
 
     def __contains__(self, key: str) -> bool:
-        return key in self._index
+        return key in self._postings
 
     def __len__(self) -> int:
         """Number of distinct keys."""
-        return len(self._index)
+        return len(self._postings)
 
     def probed(self, seconds: float) -> None:
         """Account *seconds* of probe time (for EngineStats wiring)."""
         self.probe_seconds += seconds
 
     def stats(self) -> IndexStats:
-        """Posting-list stats plus build/probe timings."""
-        return self._index.stats(
-            build_seconds=self.build_seconds, probe_seconds=self.probe_seconds
+        """Key and posting counts plus build/probe timings."""
+        return IndexStats(
+            features=len(self._postings),
+            postings=sum(map(len, self._postings.values())),
+            build_seconds=self.build_seconds,
+            probe_seconds=self.probe_seconds,
         )
 
     def __repr__(self) -> str:
-        return f"<RecordKeyIndex keys={len(self._index)} records={len(self._ids)}>"
+        return f"<RecordKeyIndex keys={len(self._postings)} records={len(self._ids)}>"
 
 
 # ----------------------------------------------------------------------

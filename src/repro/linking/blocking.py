@@ -17,13 +17,14 @@ same ``candidate_pairs`` interface so experiment A3 can compare all of
 them on reduction ratio and pairs completeness. :class:`FullIndex` is the
 naive ``|S_E| x |S_L|`` cartesian product, the paper's strawman.
 
-Key-driven methods (standard and q-gram blocking) build their candidate
-sets from shared :class:`~repro.index.RecordKeyIndex` posting lists —
-built once per (store, key derivation) and reused across runs — and
-:class:`RuleBasedBlocking` batch-probes the classifier's rule index.
-Every method keeps a scan-based reference path behind ``use_index=False``
-and the index equivalence tests assert both emit identical candidate
-pair sequences.
+Key-driven methods (standard and q-gram blocking) have one candidate
+path: they read a :class:`~repro.index.RecordKeyIndex` over the local
+store — the shared one, built once per (store, key derivation) and
+reused across runs, when the key has a cache signature, else a private
+build per run. :class:`RuleBasedBlocking` batch-probes the classifier's
+rule index. The scan implementations these replaced live on as test
+oracles (``tests/oracles/blocking.py``), and the tests assert every
+method emits exactly their candidate pair sequences.
 
 Every registered method supports the engine's ``shard`` executor
 through the per-key block iteration API
@@ -66,16 +67,12 @@ import itertools
 import math
 import time
 from abc import ABC, abstractmethod
-from collections import defaultdict
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
-    Optional,
-    Sequence,
     Set,
     Tuple,
     Union,
@@ -83,7 +80,7 @@ from typing import (
 
 from repro.core.classifier import RuleClassifier
 from repro.core.subspace import LinkingSubspace
-from repro.index import IndexStats, shared_record_index
+from repro.index import IndexStats, RecordKeyIndex, shared_record_index
 from repro.linking.records import Record, RecordStore
 from repro.ontology.model import Ontology
 from repro.rdf.graph import Graph
@@ -251,28 +248,24 @@ class StandardBlocking(BlockingMethod):
     in the same block and all cross-source pairs inside a block become
     candidates.
 
-    With ``use_index=True`` and a cache *signature* (set by the
-    classmethod constructors), the local store's block index is a shared
-    :class:`~repro.index.RecordKeyIndex` — built once, reused by every
-    job that blocks the same store the same way. Candidate pairs are
-    identical either way.
+    The local store's blocks come from a
+    :class:`~repro.index.RecordKeyIndex`. With a cache *signature* (set
+    by :meth:`on_field_prefix`) it is the shared one — built once,
+    reused by every job that blocks the same store the same way;
+    without one it is built privately per run.
     """
 
     def __init__(
         self,
         key: Callable[[Record], str],
-        use_index: bool = True,
         signature: str | None = None,
     ) -> None:
         self._key = key
-        self._use_index = use_index
         self._signature = signature
         self._last_index_stats: IndexStats | None = None
 
     @classmethod
-    def on_field_prefix(
-        cls, field_name: str, length: int = 5, use_index: bool = True
-    ) -> "StandardBlocking":
+    def on_field_prefix(cls, field_name: str, length: int = 5) -> "StandardBlocking":
         """The paper's example: same first *length* characters of a field.
 
         The key is a partial over a module-level function — picklable,
@@ -282,7 +275,7 @@ class StandardBlocking(BlockingMethod):
         method).
         """
         key = functools.partial(_prefix_key, field_name, length)
-        return cls(key, use_index=use_index, signature=f"prefix:{field_name}:{length}")
+        return cls(key, signature=f"prefix:{field_name}:{length}")
 
     @classmethod
     def on_field_transform(
@@ -311,37 +304,23 @@ class StandardBlocking(BlockingMethod):
         every pair inside exactly one block."""
         return True
 
-    def _local_blocks(self, local: RecordStore) -> Callable[[str], Iterable[Term]]:
-        """Block lookup (key -> local ids in store order), shared-index
-        backed when a cache signature allows it."""
-        if self._use_index and self._signature is not None:
-            index = shared_record_index(local, self._signature, self._keys_for)
-            return index.candidates
-        blocks: Dict[str, List[Term]] = defaultdict(list)
-        for record in local:
-            key = self._key(record)
-            if key:
-                blocks[key].append(record.id)
-        return lambda key: blocks.get(key, ())
+    def _local_index(self, local: RecordStore) -> RecordKeyIndex:
+        """The local store's block index: shared under a cache
+        signature, else built for this call alone."""
+        if self._signature is None:
+            return RecordKeyIndex.build(local, self._keys_for)
+        return shared_record_index(local, self._signature, self._keys_for)
 
     def shard_block_sizes(
         self, external: RecordStore, local: RecordStore
     ) -> Dict[str, int]:
-        """Local-side block sizes, read off the shared key index.
+        """Local-side block sizes, read off the key index.
 
-        Building (or reusing) the index here also warms the per-store
-        cache *before* the engine forks its shard workers, so every
-        worker inherits the postings instead of rebuilding them.
+        Building (or reusing) the shared index here also warms the
+        per-store cache *before* the engine forks its shard workers, so
+        every worker inherits the postings instead of rebuilding them.
         """
-        if self._use_index and self._signature is not None:
-            index = shared_record_index(local, self._signature, self._keys_for)
-            return index.key_sizes()
-        sizes: Dict[str, int] = {}
-        for record in local:
-            key = self._key(record)
-            if key:
-                sizes[key] = sizes.get(key, 0) + 1
-        return sizes
+        return self._local_index(local).key_sizes()
 
     def shard_candidate_pairs(
         self,
@@ -350,34 +329,18 @@ class StandardBlocking(BlockingMethod):
         plan: "ShardPlan",
         shard: int,
     ) -> Iterator[ShardedPair]:
-        lookup = self._local_blocks(local)
+        index = self._local_index(local)
         for ordinal, record in enumerate(external):
             key = self._key(record)
             if not key or plan.shard_of(key) != shard:
                 continue
-            for local_id in lookup(key):
+            for local_id in index.candidates(key):
                 yield ordinal, record.id, local_id
 
     def candidate_pairs(
         self, external: RecordStore, local: RecordStore
     ) -> Iterator[CandidatePair]:
-        if self._use_index and self._signature is not None:
-            yield from self._candidate_pairs_indexed(external, local)
-            return
-        self._last_index_stats = None
-        lookup = self._local_blocks(local)
-        for record in external:
-            key = self._key(record)
-            if not key:
-                continue
-            for local_id in lookup(key):
-                yield record.id, local_id
-
-    def _candidate_pairs_indexed(
-        self, external: RecordStore, local: RecordStore
-    ) -> Iterator[CandidatePair]:
-        assert self._signature is not None
-        index = shared_record_index(local, self._signature, self._keys_for)
+        index = self._local_index(local)
         probe_seconds = 0.0
         for record in external:
             started = time.perf_counter()
@@ -514,10 +477,10 @@ class QGramBlocking(BlockingMethod):
     ``max_grams`` caps the combinatorial explosion on long values (the
     classic implementations do the same).
 
-    With ``use_index=True`` the local store's sub-list inverted index is
-    a shared :class:`~repro.index.RecordKeyIndex` keyed on the full
-    q-gram configuration, so repeated jobs against the same catalog skip
-    the rebuild. Candidate pairs are identical to the scan path.
+    The local store's sub-list inverted index is a shared
+    :class:`~repro.index.RecordKeyIndex` keyed on the full q-gram
+    configuration, so repeated jobs against the same catalog skip the
+    rebuild.
     """
 
     def __init__(
@@ -526,7 +489,6 @@ class QGramBlocking(BlockingMethod):
         q: int = 2,
         threshold: float = 0.8,
         max_grams: int = 12,
-        use_index: bool = True,
     ) -> None:
         if not 0.0 < threshold <= 1.0:
             raise ValueError(f"threshold must be in (0, 1], got {threshold}")
@@ -536,7 +498,6 @@ class QGramBlocking(BlockingMethod):
         self._q = q
         self._threshold = threshold
         self._max_grams = max_grams
-        self._use_index = use_index
         self._last_index_stats: IndexStats | None = None
 
     def _keys(self, record: Record) -> List[str]:
@@ -567,96 +528,14 @@ class QGramBlocking(BlockingMethod):
         """Shared-index cache key: the full q-gram configuration."""
         return f"qgram:{self._field}:{self._q}:{self._threshold}:{self._max_grams}"
 
-    def _local_postings(self, local: RecordStore) -> Callable[[str], Iterable[Term]]:
-        """Posting lookup (sub-list key -> local ids in store order),
-        shared-index backed when enabled."""
-        if self._use_index:
-            index = shared_record_index(local, self._signature(), self._keys)
-            return index.candidates
-        postings: Dict[str, List[Term]] = defaultdict(list)
-        for record in local:
-            for key in self._keys(record):
-                postings[key].append(record.id)
-        return lambda key: postings.get(key, ())
+    def _local_index(self, local: RecordStore) -> RecordKeyIndex:
+        """The local store's shared sub-list index."""
+        return shared_record_index(local, self._signature(), self._keys)
 
     def candidate_pairs(
         self, external: RecordStore, local: RecordStore
     ) -> Iterator[CandidatePair]:
-        if self._use_index:
-            yield from self._candidate_pairs_indexed(external, local)
-            return
-        self._last_index_stats = None
-        lookup = self._local_postings(local)
-        seen: Set[CandidatePair] = set()
-        for record in external:
-            for key in self._keys(record):
-                for local_id in lookup(key):
-                    pair = (record.id, local_id)
-                    if pair not in seen:
-                        seen.add(pair)
-                        yield pair
-
-    def supports_sharding(self) -> bool:
-        """Sub-list keys are partitioned by the plan. A pair that
-        co-occurs under several of a record's keys is owned by the
-        *first* sorted key whose posting contains the local record —
-        exactly the occurrence the serial path's dedup set keeps — so
-        every pair is generated by exactly one shard."""
-        return True
-
-    def shard_block_sizes(
-        self, external: RecordStore, local: RecordStore
-    ) -> Dict[str, int]:
-        """Per-sub-list-key posting sizes for the plan's LPT balance.
-
-        With the shared index enabled this also warms the per-store
-        cache *before* the engine forks its shard workers, so every
-        worker inherits the postings instead of rebuilding them.
-        """
-        if self._use_index:
-            index = shared_record_index(local, self._signature(), self._keys)
-            return index.key_sizes()
-        sizes: Dict[str, int] = {}
-        for record in local:
-            for key in self._keys(record):
-                sizes[key] = sizes.get(key, 0) + 1
-        return sizes
-
-    def shard_candidate_pairs(
-        self,
-        external: RecordStore,
-        local: RecordStore,
-        plan: "ShardPlan",
-        shard: int,
-    ) -> Iterator[ShardedPair]:
-        lookup = self._local_postings(local)
-        for ordinal, record in enumerate(external):
-            keys = self._keys(record)
-            owned = [
-                index for index, key in enumerate(keys)
-                if plan.shard_of(key) == shard
-            ]
-            if not owned:
-                continue
-            owned_set = set(owned)
-            # replay the record's keys up to its last owned one so the
-            # dedup set sees every earlier occurrence of a local id,
-            # but emit only the fresh pairs of owned keys — the serial
-            # seen-set dedup, restated as an ownership rule
-            seen: Set[Term] = set()
-            for key_index in range(owned[-1] + 1):
-                fresh_here = key_index in owned_set
-                for local_id in lookup(keys[key_index]):
-                    if local_id in seen:
-                        continue
-                    seen.add(local_id)
-                    if fresh_here:
-                        yield (ordinal, key_index), record.id, local_id
-
-    def _candidate_pairs_indexed(
-        self, external: RecordStore, local: RecordStore
-    ) -> Iterator[CandidatePair]:
-        index = shared_record_index(local, self._signature(), self._keys)
+        index = self._local_index(local)
         seen: Set[CandidatePair] = set()
         probe_seconds = 0.0
         for record in external:
@@ -675,6 +554,56 @@ class QGramBlocking(BlockingMethod):
         self._last_index_stats = dataclasses.replace(
             index.stats(), probe_seconds=probe_seconds
         )
+
+    def supports_sharding(self) -> bool:
+        """Sub-list keys are partitioned by the plan. A pair that
+        co-occurs under several of a record's keys is owned by the
+        *first* sorted key whose posting contains the local record —
+        exactly the occurrence the serial path's dedup set keeps — so
+        every pair is generated by exactly one shard."""
+        return True
+
+    def shard_block_sizes(
+        self, external: RecordStore, local: RecordStore
+    ) -> Dict[str, int]:
+        """Per-sub-list-key posting sizes for the plan's LPT balance.
+
+        This also warms the shared per-store index *before* the engine
+        forks its shard workers, so every worker inherits the postings
+        instead of rebuilding them.
+        """
+        return self._local_index(local).key_sizes()
+
+    def shard_candidate_pairs(
+        self,
+        external: RecordStore,
+        local: RecordStore,
+        plan: "ShardPlan",
+        shard: int,
+    ) -> Iterator[ShardedPair]:
+        index = self._local_index(local)
+        for ordinal, record in enumerate(external):
+            keys = self._keys(record)
+            owned = [
+                position for position, key in enumerate(keys)
+                if plan.shard_of(key) == shard
+            ]
+            if not owned:
+                continue
+            owned_set = set(owned)
+            # replay the record's keys up to its last owned one so the
+            # dedup set sees every earlier occurrence of a local id,
+            # but emit only the fresh pairs of owned keys — the serial
+            # seen-set dedup, restated as an ownership rule
+            seen: Set[Term] = set()
+            for key_index in range(owned[-1] + 1):
+                fresh_here = key_index in owned_set
+                for local_id in index.candidates(keys[key_index]):
+                    if local_id in seen:
+                        continue
+                    seen.add(local_id)
+                    if fresh_here:
+                        yield (ordinal, key_index), record.id, local_id
 
 
 class CanopyBlocking(BlockingMethod):
@@ -785,11 +714,8 @@ class RuleBasedBlocking(BlockingMethod):
     records fall back to the full local store (``fallback_full=True``,
     the fair default for completeness comparisons) or to no pairs.
 
-    With ``use_index=True`` the batch is classified through the
-    classifier's inverted rule index
-    (:meth:`~repro.core.classifier.RuleClassifier.predict_many`);
-    ``use_index=False`` keeps the per-record rule scan as the reference
-    path. Predictions — and therefore candidate pairs — are identical.
+    The batch is classified through the classifier's inverted rule
+    index (:meth:`~repro.core.classifier.RuleClassifier.predict_many`).
     """
 
     def __init__(
@@ -798,13 +724,11 @@ class RuleBasedBlocking(BlockingMethod):
         ontology: Ontology,
         external_graph: Graph,
         fallback_full: bool = True,
-        use_index: bool = True,
     ) -> None:
         self._classifier = classifier
         self._ontology = ontology
         self._graph = external_graph
         self._fallback_full = fallback_full
-        self._use_index = use_index
         self._last_index_stats: IndexStats | None = None
 
     def index_stats(self) -> IndexStats | None:
@@ -837,14 +761,10 @@ class RuleBasedBlocking(BlockingMethod):
             for ordinal, ext_id in enumerate(external.ids())
             if plan.shard_of(str(ext_id)) == shard
         ]
-        items = [ext_id for _, ext_id in mine]
-        if self._use_index:
-            self._classifier.build_probe_table()
-            predictions = self._classifier.predict_many(items, self._graph)
-        else:
-            predictions = {
-                item: self._classifier.predict(item, self._graph) for item in items
-            }
+        self._classifier.build_probe_table()
+        predictions = self._classifier.predict_many(
+            [ext_id for _, ext_id in mine], self._graph
+        )
         subspace = LinkingSubspace.from_predictions(predictions, self._ontology)
         local_order = list(local.ids())
         local_ids = set(local_order)
@@ -874,18 +794,11 @@ class RuleBasedBlocking(BlockingMethod):
     def candidate_pairs(
         self, external: RecordStore, local: RecordStore
     ) -> Iterator[CandidatePair]:
-        items = list(external.ids())
-        if self._use_index:
-            self._classifier.build_probe_table()
-            started = time.perf_counter()
-            predictions = self._classifier.predict_many(items, self._graph)
-            probe_seconds = time.perf_counter() - started
-            self._last_index_stats = self._classifier.probe_index_stats(probe_seconds)
-        else:
-            self._last_index_stats = None
-            predictions = {
-                item: self._classifier.predict(item, self._graph) for item in items
-            }
+        self._classifier.build_probe_table()
+        started = time.perf_counter()
+        predictions = self._classifier.predict_many(list(external.ids()), self._graph)
+        probe_seconds = time.perf_counter() - started
+        self._last_index_stats = self._classifier.probe_index_stats(probe_seconds)
         subspace = LinkingSubspace.from_predictions(predictions, self._ontology)
         # deterministic emission: subspace candidate sets iterate in hash
         # order, which PYTHONHASHSEED reshuffles between processes, and

@@ -45,7 +45,6 @@ def build_bundle(
     blocking: str = "prefix",
     support_threshold: float = 0.002,
     match_threshold: float = 0.9,
-    use_index: bool = True,
     warm_items: int = 0,
     cache_size: Optional[int] = None,
 ) -> Dict[str, Any]:
@@ -93,12 +92,11 @@ def build_bundle(
         ontology = catalog.ontology
         training = learner.to_state()
 
-    if use_index and blocking in _INDEX_WARMING:
+    if blocking in _INDEX_WARMING:
         # shard_block_sizes only reads the local side; probing it with
         # an empty external store builds the key index into the shared
         # per-store cache, from which the snapshot below captures it
-        warmer = make_blocking(blocking, use_index=True)
-        warmer.shard_block_sizes(RecordStore(), local)
+        make_blocking(blocking).shard_block_sizes(RecordStore(), local)
     indexes = shared_index_snapshot(local)
 
     comparator_cache = None
@@ -109,7 +107,6 @@ def build_bundle(
             blocking=blocking,
             rules=rules,
             ontology=ontology,
-            use_index=use_index,
             match_threshold=match_threshold,
             warm_items=warm_items,
             seed=seed,
@@ -122,7 +119,6 @@ def build_bundle(
         "blocking": blocking,
         "support_threshold": support_threshold,
         "match_threshold": match_threshold,
-        "use_index": use_index,
         "warm_items": warm_items,
         "field_properties": {"pn": PART_NUMBER.value},
     }
@@ -146,7 +142,6 @@ def _warm_comparator(
     blocking: str,
     rules,
     ontology,
-    use_index: bool,
     match_threshold: float,
     warm_items: int,
     seed: Optional[int],
@@ -179,7 +174,6 @@ def _warm_comparator(
     job = LinkingJob(
         make_blocking(
             blocking,
-            use_index=use_index,
             rules=rules,
             ontology=ontology,
             external_graph=warm_graph,

@@ -60,7 +60,6 @@ def cold_reference(
     preset = config.get("preset", "small")
     seed = config.get("seed")
     blocking_name = config.get("blocking", "prefix")
-    use_index = bool(config.get("use_index", True))
 
     catalog = _catalog_for(preset, seed)
     batch_seed = 4242 if seed is None else seed
@@ -84,7 +83,6 @@ def cold_reference(
     job = LinkingJob(
         make_blocking(
             blocking_name,
-            use_index=use_index,
             rules=rules,
             ontology=ontology,
             external_graph=test_graph,

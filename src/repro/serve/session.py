@@ -51,7 +51,6 @@ STREAMABLE_BLOCKING = ("prefix", "qgram", "full")
 def make_blocking(
     name: str,
     *,
-    use_index: bool = True,
     rules=None,
     ontology=None,
     external_graph: Optional[Graph] = None,
@@ -85,18 +84,17 @@ def make_blocking(
             ontology,
             external_graph,
             fallback_full=name == "rules",
-            use_index=use_index,
         )
     if name == "sorted":
         return SortedNeighbourhood.on_field("pn", window_size=7)
     if name == "qgram":
-        return QGramBlocking("pn", q=2, threshold=0.8, use_index=use_index)
+        return QGramBlocking("pn", q=2, threshold=0.8)
     if name == "canopy":
         return CanopyBlocking("pn", loose=0.5, tight=0.9)
     if name == "full":
         return FullIndex()
     if name == "prefix":
-        return StandardBlocking.on_field_prefix("pn", length=4, use_index=use_index)
+        return StandardBlocking.on_field_prefix("pn", length=4)
     raise ServeError(
         f"unknown blocking {name!r}; expected one of {', '.join(BLOCKING_NAMES)}"
     )
@@ -201,11 +199,6 @@ class LinkSession:
         return float(self._config.get("match_threshold", 0.9))
 
     @property
-    def use_index(self) -> bool:
-        """Whether index-backed blocking paths are enabled."""
-        return bool(self._config.get("use_index", True))
-
-    @property
     def request_count(self) -> int:
         """Requests answered so far (link + delta)."""
         with self._lock:
@@ -235,7 +228,6 @@ class LinkSession:
         """This session's blocking method for one request."""
         return make_blocking(
             self.blocking_name,
-            use_index=self.use_index,
             rules=self._bundle.rules,
             ontology=self._bundle.ontology,
             external_graph=external_graph,

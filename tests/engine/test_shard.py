@@ -27,6 +27,7 @@ from repro.linking import (
     ThresholdMatcher,
 )
 from repro.rdf import EX
+from repro.text import soundex
 
 
 def record(name, pn, maker="acme"):
@@ -104,14 +105,13 @@ class TestShardExecutorIdentity:
     @pytest.mark.parametrize("make_blocking", (
         lambda: FullIndex(),
         lambda: StandardBlocking.on_field_prefix("pn", length=3),
-        lambda: StandardBlocking.on_field_prefix("pn", length=3, use_index=False),
+        lambda: StandardBlocking.on_field_transform("pn", soundex),
         lambda: QGramBlocking("pn", q=2, threshold=0.8),
-        lambda: QGramBlocking("pn", q=2, threshold=0.8, use_index=False),
         lambda: SortedNeighbourhood.on_field("pn", window_size=3),
         lambda: CanopyBlocking("pn", loose=0.3, tight=0.9),
     ), ids=(
-        "full-index", "standard-indexed", "standard-scan",
-        "qgram-indexed", "qgram-scan", "sorted-neighbourhood", "canopy",
+        "full-index", "standard-indexed", "standard-private-index",
+        "qgram-indexed", "sorted-neighbourhood", "canopy",
     ))
     @pytest.mark.parametrize("workers", (2, 3))
     def test_shard_is_byte_identical_to_serial(

@@ -69,9 +69,7 @@ def blockings(draw):
         return FullIndex()
     if kind == "standard":
         return StandardBlocking.on_field_prefix(
-            "pn",
-            length=draw(st.sampled_from((2, 3, 4))),
-            use_index=draw(st.booleans()),
+            "pn", length=draw(st.sampled_from((2, 3, 4)))
         )
     if kind == "qgram":
         return QGramBlocking(
@@ -79,7 +77,6 @@ def blockings(draw):
             q=draw(st.sampled_from((1, 2, 3))),
             threshold=draw(st.sampled_from((0.3, 0.5, 0.8, 1.0))),
             max_grams=draw(st.sampled_from((4, 8))),
-            use_index=draw(st.booleans()),
         )
     if kind == "sorted":
         return SortedNeighbourhood.on_field(

@@ -18,6 +18,7 @@ Four layers:
 """
 
 import dataclasses
+import hashlib
 import io
 import json
 import sys
@@ -175,6 +176,22 @@ class TestWorkerCLI:
         code, out, err = self._run_cli(monkeypatch, capsys, json.dumps(payload))
         assert code == 2 and not out
         assert "checksum mismatch" in err
+
+    def test_run_unit_rejects_a_v1_unit_as_stale(self, monkeypatch, capsys, workload):
+        """Version 1 blocking specs carried an index/scan toggle. A
+        well-formed v1 unit is refused on its version, before any spec
+        is read, so the worker never fails with a ``KeyError``."""
+        assert PROTOCOL_SCHEMA_VERSION == 2
+        payload = json.loads(encode_work_unit(_units(*workload)[0]))
+        body = payload["body"]
+        body["blocking"]["use_index"] = True
+        canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        payload["schema_version"] = 1
+        payload["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        code, out, err = self._run_cli(monkeypatch, capsys, json.dumps(payload))
+        assert code == 2 and not out
+        assert "stale envelope: schema version 1" in err
+        assert "KeyError" not in err
 
     def test_result_envelope_shares_the_integrity_checks(self, workload):
         external, local = workload

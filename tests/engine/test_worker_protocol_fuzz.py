@@ -72,7 +72,7 @@ def blockings(draw):
         return FullIndex()
     if kind == "prefix":
         return StandardBlocking.on_field_prefix(
-            "pn", length=draw(st.sampled_from((2, 3, 4))), use_index=draw(st.booleans())
+            "pn", length=draw(st.sampled_from((2, 3, 4)))
         )
     if kind == "qgram":
         return QGramBlocking(
@@ -80,7 +80,6 @@ def blockings(draw):
             q=draw(st.sampled_from((1, 2, 3))),
             threshold=draw(st.sampled_from((0.3, 0.5, 0.8))),
             max_grams=draw(st.sampled_from((4, 8))),
-            use_index=draw(st.booleans()),
         )
     if kind == "sorted":
         return SortedNeighbourhood.on_field(
@@ -147,13 +146,12 @@ def _rules_workload():
     external = RecordStore.from_graph(graph, {"pn": PART_NUMBER})
     local = RecordStore.from_graph(catalog.local_graph, {"pn": PART_NUMBER})
 
-    def make_blocking(fallback_full, use_index):
+    def make_blocking(fallback_full):
         return RuleBasedBlocking(
             RuleClassifier(rules.with_min_confidence(0.4)),
             catalog.ontology,
             graph,
             fallback_full=fallback_full,
-            use_index=use_index,
         )
 
     return make_blocking, external, local
@@ -162,17 +160,14 @@ def _rules_workload():
 @settings(max_examples=8, deadline=None)
 @given(
     fallback_full=st.booleans(),
-    use_index=st.booleans(),
     shards=st.sampled_from((2, 3)),
     scoring=st.sampled_from(("pairwise", "batched")),
 )
-def test_rules_blocking_roundtrip_is_transparent(
-    fallback_full, use_index, shards, scoring
-):
+def test_rules_blocking_roundtrip_is_transparent(fallback_full, shards, scoring):
     """The sixth blocking class: the spec carries learned rules, the
     ontology and the external graph across the wire, and the restored
     classifier blocks identically."""
     make_blocking, external, local = _rules_workload()
     _assert_roundtrip_transparent(
-        make_blocking(fallback_full, use_index), external, local, shards, scoring
+        make_blocking(fallback_full), external, local, shards, scoring
     )

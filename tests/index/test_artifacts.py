@@ -8,6 +8,7 @@ fingerprints and corrupted components must fail loudly before partial
 state can leak into a session.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -18,15 +19,18 @@ from repro.datagen.catalog import PART_NUMBER, ElectronicCatalogGenerator
 from repro.datagen.config import CatalogConfig
 from repro.engine import JobConfig, LinkingJob
 from repro.experiments.throughput import provider_batch
-from repro.index import shared_index_cache_clear, shared_index_snapshot
+from repro.index import RecordKeyIndex, shared_index_cache_clear, shared_index_snapshot
 from repro.index.artifacts import (
     ARTIFACT_SCHEMA_VERSION,
+    INDEXES_NAME,
     MANIFEST_NAME,
     STORE_NAME,
     ArtifactError,
     environment_fingerprint,
     inspect_bundle,
     load_bundle,
+    record_key_index_from_payload,
+    record_key_index_to_payload,
     record_store_from_payload,
     record_store_to_payload,
     term_from_payload,
@@ -38,6 +42,7 @@ from repro.linking import (
     FieldComparator,
     FullIndex,
     QGramBlocking,
+    Record,
     RecordComparator,
     RecordStore,
     RuleBasedBlocking,
@@ -45,7 +50,7 @@ from repro.linking import (
     StandardBlocking,
     ThresholdMatcher,
 )
-from repro.rdf import serialize_ntriples
+from repro.rdf import EX, serialize_ntriples
 from repro.rdf.terms import XSD_INTEGER, BNode, IRI, Literal
 
 
@@ -65,11 +70,11 @@ def blocking_factory(name, rules, ontology, external_graph):
     if name == "full":
         return FullIndex()
     if name == "prefix":
-        return StandardBlocking.on_field_prefix("pn", length=4, use_index=True)
+        return StandardBlocking.on_field_prefix("pn", length=4)
     if name == "sorted":
         return SortedNeighbourhood.on_field("pn", window_size=7)
     if name == "qgram":
-        return QGramBlocking("pn", q=2, threshold=0.8, use_index=True)
+        return QGramBlocking("pn", q=2, threshold=0.8)
     if name == "canopy":
         return CanopyBlocking("pn", loose=0.5, tight=0.9)
     return RuleBasedBlocking(
@@ -77,7 +82,6 @@ def blocking_factory(name, rules, ontology, external_graph):
         ontology,
         external_graph,
         fallback_full=True,
-        use_index=True,
     )
 
 
@@ -194,6 +198,78 @@ def test_seeded_indexes_are_not_rebuilt(tmp_path, materials):
     )  # the key function must never run: the seeded index answers
     assert reused is seeded
     assert reused.key_sizes() == snapshot["prefix:pn:4"].key_sizes()
+
+
+class TestKeyIndexPayload:
+    """A bundle is input from disk: every posting of a key index must be
+    the non-empty, strictly increasing, in-range int list the build
+    path produces, or the load fails with :class:`ArtifactError`."""
+
+    @pytest.fixture
+    def payload(self):
+        local = RecordStore(
+            Record(id=EX[f"l{i}"], fields={"pn": (value,)})
+            for i, value in enumerate(("ab", "cd", "ab"))
+        )
+        # each record yields its key twice: postings keep it once
+        index = RecordKeyIndex.build(local, lambda r: [r.value("pn")] * 2)
+        return json.loads(json.dumps(record_key_index_to_payload(index)))
+
+    def test_round_trip(self, payload):
+        assert payload["index"] == {"features": ["ab", "cd"], "postings": [[0, 2], [1]]}
+        index = record_key_index_from_payload(payload)
+        assert list(index.candidates("ab")) == [EX.l0, EX.l2]
+        assert record_key_index_to_payload(index) == payload
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["0", 2], "non-integer row"),
+            ([0.0, 2], "non-integer row"),
+            ([True], "non-integer row"),
+            ([-1, 2], "row out of range"),
+            ([0, 3], "row out of range"),
+            ([2, 0], "not strictly increasing"),
+            ([0, 0], "not strictly increasing"),
+            ([], "empty posting"),
+        ],
+    )
+    def test_bad_posting_rejected(self, payload, rows, message):
+        payload["index"]["postings"][0] = rows
+        with pytest.raises(ArtifactError, match=message):
+            record_key_index_from_payload(payload)
+
+    def test_mismatched_lengths_rejected(self, payload):
+        payload["index"]["postings"].pop()
+        with pytest.raises(ArtifactError, match="2 features vs 1 postings"):
+            record_key_index_from_payload(payload)
+
+    def test_repeated_key_rejected(self, payload):
+        payload["index"]["features"][1] = "ab"
+        with pytest.raises(ArtifactError, match="repeated key"):
+            record_key_index_from_payload(payload)
+
+    def test_out_of_range_ordinal_fails_the_load(self, tmp_path, materials):
+        """Rejected when the bundle opens, not with an IndexError at
+        the first probe."""
+        _, _, external, local, _ = materials
+        shared_index_cache_clear()
+        run_link(blocking_factory("prefix", None, None, None), external, local, "pairwise")
+        path = write_bundle(
+            tmp_path / "b", store=local, indexes=shared_index_snapshot(local)
+        )
+        indexes = json.loads((path / INDEXES_NAME).read_text())
+        postings = indexes["signatures"]["prefix:pn:4"]["index"]["postings"]
+        postings[0].append(len(local))
+        text = json.dumps(indexes)
+        (path / INDEXES_NAME).write_text(text)
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
+        manifest["components"][INDEXES_NAME]["sha256"] = hashlib.sha256(
+            text.encode("utf-8")
+        ).hexdigest()
+        (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(ArtifactError, match="row out of range"):
+            load_bundle(path)
 
 
 class TestRejection:

@@ -2,9 +2,11 @@
 
 The contract of the ``repro.index`` refactor: learned rule sets,
 predictions and candidate pairs are *exactly* what the original
-Counter/scan implementations produced — same values, same order. These
-tests pin that across all four consuming layers, on the hand-checkable
-tiny catalog, the generated electronics catalog and the toponym domain.
+Counter/scan implementations produced — same values, same order. Those
+implementations live on as the oracles in ``tests/oracles/``. These
+tests pin the contract across all four consuming layers, on the
+hand-checkable tiny catalog, the generated electronics catalog and the
+toponym domain.
 """
 
 import pytest
@@ -24,6 +26,8 @@ from repro.linking import (
 )
 from repro.rdf import EX
 from repro.rdf.namespace import RDFS
+from tests.oracles import blocking as blocking_oracle
+from tests.oracles import learner as learner_oracle
 
 
 @pytest.fixture(scope="module")
@@ -52,25 +56,23 @@ def provider(catalog):
     return graph, truth
 
 
+def assert_matches_scan(learner, rules, config, training_set):
+    expected, statistics = learner_oracle.learn_scan(config, training_set)
+    assert rules.rules == expected.rules
+    assert learner.statistics == statistics
+
+
 class TestLearnerEquivalence:
     def test_rules_identical_on_tiny_fixture(self, tiny_training_set):
         config = LearnerConfig(support_threshold=0.1)
-        index_learner = RuleLearner(config)
-        scan_learner = RuleLearner(config)
-        assert (
-            index_learner.learn(tiny_training_set).rules
-            == scan_learner.learn_scan(tiny_training_set).rules
-        )
-        assert index_learner.statistics == scan_learner.statistics
+        learner = RuleLearner(config)
+        rules = learner.learn(tiny_training_set)
+        assert_matches_scan(learner, rules, config, tiny_training_set)
 
     def test_rules_identical_on_generated_catalog(self, config, training_set):
-        index_learner = RuleLearner(config)
-        scan_learner = RuleLearner(config)
-        assert (
-            index_learner.learn(training_set).rules
-            == scan_learner.learn_scan(training_set).rules
-        )
-        assert index_learner.statistics == scan_learner.statistics
+        learner = RuleLearner(config)
+        rules = learner.learn(training_set)
+        assert_matches_scan(learner, rules, config, training_set)
 
     @pytest.mark.parametrize("threshold", (0.001, 0.01, 0.05))
     def test_identical_across_thresholds_with_shared_index(
@@ -79,20 +81,14 @@ class TestLearnerEquivalence:
         config = LearnerConfig(properties=(PART_NUMBER,), support_threshold=threshold)
         learner = RuleLearner(config)
         index = learner.build_index(training_set)
-        assert (
-            learner.learn(training_set, index=index).rules
-            == RuleLearner(config).learn_scan(training_set).rules
-        )
+        rules = learner.learn(training_set, index=index)
+        assert_matches_scan(learner, rules, config, training_set)
 
     def test_default_property_selection_matches(self, training_set):
         config = LearnerConfig(support_threshold=0.004)  # properties=None
-        index_learner = RuleLearner(config)
-        scan_learner = RuleLearner(config)
-        assert (
-            index_learner.learn(training_set).rules
-            == scan_learner.learn_scan(training_set).rules
-        )
-        assert index_learner.statistics == scan_learner.statistics
+        learner = RuleLearner(config)
+        rules = learner.learn(training_set)
+        assert_matches_scan(learner, rules, config, training_set)
 
 
 class TestIncrementalEquivalence:
@@ -143,88 +139,64 @@ class TestClassifierEquivalence:
         assert stats.postings == len(rules)
 
 
-def pair_lists_identical(blocking_indexed, blocking_scan, external, local):
-    indexed = list(blocking_indexed.candidate_pairs(external, local))
-    scanned = list(blocking_scan.candidate_pairs(external, local))
-    assert indexed == scanned  # same pairs, same order
-    return indexed
+def stores(graph, local_graph, field="pn", prop=PART_NUMBER):
+    return (
+        RecordStore.from_graph(graph, {field: prop}),
+        RecordStore.from_graph(local_graph, {field: prop}),
+    )
 
 
 class TestBlockingEquivalence:
     def test_qgram_blocking_identical(self, catalog, provider):
-        graph, _ = provider
-        external = RecordStore.from_graph(graph, {"pn": PART_NUMBER})
-        local = RecordStore.from_graph(catalog.local_graph, {"pn": PART_NUMBER})
+        external, local = stores(provider[0], catalog.local_graph)
         shared_index_cache_clear()
-        pairs = pair_lists_identical(
-            QGramBlocking("pn", use_index=True),
-            QGramBlocking("pn", use_index=False),
-            external,
-            local,
-        )
+        pairs = list(QGramBlocking("pn").candidate_pairs(external, local))
+        keys_of = blocking_oracle.qgram_keys("pn", 2, 0.8, 12)
+        assert pairs == blocking_oracle.key_blocking_pairs(keys_of, external, local)
         assert pairs  # non-vacuous
 
     def test_standard_blocking_identical(self, catalog, provider):
-        graph, _ = provider
-        external = RecordStore.from_graph(graph, {"pn": PART_NUMBER})
-        local = RecordStore.from_graph(catalog.local_graph, {"pn": PART_NUMBER})
+        external, local = stores(provider[0], catalog.local_graph)
         shared_index_cache_clear()
-        pairs = pair_lists_identical(
-            StandardBlocking.on_field_prefix("pn", length=4, use_index=True),
-            StandardBlocking.on_field_prefix("pn", length=4, use_index=False),
-            external,
-            local,
-        )
+        blocking = StandardBlocking.on_field_prefix("pn", length=4)
+        pairs = list(blocking.candidate_pairs(external, local))
+        keys_of = blocking_oracle.prefix_keys("pn", 4)
+        assert pairs == blocking_oracle.key_blocking_pairs(keys_of, external, local)
         assert pairs
 
     def test_rule_based_blocking_identical(self, catalog, rules, provider):
         graph, _ = provider
-        external = RecordStore.from_graph(graph, {"pn": PART_NUMBER})
-        local = RecordStore.from_graph(catalog.local_graph, {"pn": PART_NUMBER})
+        external, local = stores(graph, catalog.local_graph)
         classifier = RuleClassifier(rules.with_min_confidence(0.4))
-        pairs = pair_lists_identical(
-            RuleBasedBlocking(
-                classifier, catalog.ontology, graph, use_index=True
-            ),
-            RuleBasedBlocking(
-                classifier, catalog.ontology, graph, use_index=False
-            ),
-            external,
-            local,
+        blocking = RuleBasedBlocking(classifier, catalog.ontology, graph)
+        pairs = list(blocking.candidate_pairs(external, local))
+        assert pairs == blocking_oracle.rule_blocking_pairs(
+            classifier, catalog.ontology, graph, True, external, local
         )
         assert pairs
 
     def test_qgram_identical_on_toponyms(self):
         gazetteer = generate_gazetteer(ToponymConfig(n_links=120, catalog_size=300))
-        external = RecordStore.from_graph(
-            gazetteer.external_graph, {"label": RDFS.label}
+        external, local = stores(
+            gazetteer.external_graph, gazetteer.local_graph, "label", RDFS.label
         )
-        local = RecordStore.from_graph(gazetteer.local_graph, {"label": RDFS.label})
         shared_index_cache_clear()
-        pair_lists_identical(
-            QGramBlocking("label", use_index=True),
-            QGramBlocking("label", use_index=False),
-            external,
-            local,
-        )
+        keys_of = blocking_oracle.qgram_keys("label", 2, 0.8, 12)
+        assert list(
+            QGramBlocking("label").candidate_pairs(external, local)
+        ) == blocking_oracle.key_blocking_pairs(keys_of, external, local)
 
     def test_shared_index_invalidated_on_store_mutation(self, catalog, provider):
         from repro.linking import Record
 
-        graph, _ = provider
-        external = RecordStore.from_graph(graph, {"pn": PART_NUMBER})
-        local = RecordStore.from_graph(catalog.local_graph, {"pn": PART_NUMBER})
+        external, local = stores(provider[0], catalog.local_graph)
         shared_index_cache_clear()
-        blocking = StandardBlocking.on_field_prefix("pn", length=4, use_index=True)
+        blocking = StandardBlocking.on_field_prefix("pn", length=4)
         before = list(blocking.candidate_pairs(external, local))
         # clone an external record into the local store: new candidates
         ext_record = next(iter(external))
         local.add(Record(id=EX.fresh_local, fields=ext_record.fields))
         after = list(blocking.candidate_pairs(external, local))
-        scan = list(
-            StandardBlocking.on_field_prefix(
-                "pn", length=4, use_index=False
-            ).candidate_pairs(external, local)
-        )
-        assert after == scan
+        keys_of = blocking_oracle.prefix_keys("pn", 4)
+        assert after == blocking_oracle.key_blocking_pairs(keys_of, external, local)
         assert len(after) > len(before)

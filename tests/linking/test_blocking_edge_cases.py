@@ -1,7 +1,7 @@
 """Blocking edge cases: degenerate keys, unicode, tiny blocks, and
-property-based equivalence of the index-backed and scan-based paths."""
+property-based equivalence with the scan oracles in
+``tests/oracles/blocking.py``."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +15,7 @@ from repro.linking import (
     StandardBlocking,
 )
 from repro.rdf import EX
+from tests.oracles import blocking as oracle
 
 
 def store(prefix, values, field="pn"):
@@ -85,13 +86,9 @@ class TestUnicodeKeys:
         external = store("e", values, field="label")
         local = store("l", list(reversed(values)), field="label")
         shared_index_cache_clear()
-        indexed = list(
-            QGramBlocking("label", use_index=True).candidate_pairs(external, local)
-        )
-        scanned = list(
-            QGramBlocking("label", use_index=False).candidate_pairs(external, local)
-        )
-        assert indexed == scanned
+        indexed = list(QGramBlocking("label").candidate_pairs(external, local))
+        keys_of = oracle.qgram_keys("label", 2, 0.8, 12)
+        assert indexed == oracle.key_blocking_pairs(keys_of, external, local)
 
 
 class TestSingleRecordBlocks:
@@ -127,16 +124,12 @@ class TestPropertyBasedEquivalence:
         ext_store, loc_store = store("e", external), store("l", local)
         shared_index_cache_clear()
         indexed = list(
-            StandardBlocking.on_field_prefix(
-                "pn", length=3, use_index=True
-            ).candidate_pairs(ext_store, loc_store)
+            StandardBlocking.on_field_prefix("pn", length=3).candidate_pairs(
+                ext_store, loc_store
+            )
         )
-        scanned = list(
-            StandardBlocking.on_field_prefix(
-                "pn", length=3, use_index=False
-            ).candidate_pairs(ext_store, loc_store)
-        )
-        assert indexed == scanned
+        keys_of = oracle.prefix_keys("pn", 3)
+        assert indexed == oracle.key_blocking_pairs(keys_of, ext_store, loc_store)
 
     @settings(max_examples=40, deadline=None)
     @given(external=store_strategy, local=store_strategy)
@@ -144,13 +137,7 @@ class TestPropertyBasedEquivalence:
         ext_store, loc_store = store("e", external), store("l", local)
         shared_index_cache_clear()
         indexed = list(
-            QGramBlocking("pn", threshold=0.7, use_index=True).candidate_pairs(
-                ext_store, loc_store
-            )
+            QGramBlocking("pn", threshold=0.7).candidate_pairs(ext_store, loc_store)
         )
-        scanned = list(
-            QGramBlocking("pn", threshold=0.7, use_index=False).candidate_pairs(
-                ext_store, loc_store
-            )
-        )
-        assert indexed == scanned
+        keys_of = oracle.qgram_keys("pn", 2, 0.7, 12)
+        assert indexed == oracle.key_blocking_pairs(keys_of, ext_store, loc_store)

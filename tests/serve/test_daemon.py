@@ -9,7 +9,7 @@ import pytest
 from repro.datagen.catalog import PART_NUMBER, ElectronicCatalogGenerator
 from repro.datagen.config import CatalogConfig
 from repro.experiments.throughput import provider_batch
-from repro.index.artifacts import record_store_to_payload
+from repro.index.artifacts import load_bundle, record_store_to_payload, write_bundle
 from repro.linking import RecordStore
 from repro.serve import (
     ServeError,
@@ -154,6 +154,35 @@ class TestConcurrentIdentity:
         full = request_json(host, port, "POST", "/link", payload=payload)
         assert second["matches"] == full["matches"]
         assert second["sameas_ntriples"] == full["sameas_ntriples"]
+
+
+class TestOlderBundleFormat:
+    def test_use_index_false_bundle_answers_like_a_fresh_one(
+        self, tmp_path, bundle_path, daemon, link_payload
+    ):
+        """A bundle written while blocking still had an index/scan
+        toggle may say ``"use_index": false`` and carry no key index.
+        It still opens, the key is ignored, and the bundle is not
+        rewritten."""
+        fresh = load_bundle(bundle_path)
+        older = write_bundle(
+            tmp_path / "older",
+            store=fresh.store,
+            indexes={},
+            comparator_cache=fresh.comparator_cache,
+            config={**fresh.config, "use_index": False},
+        )
+        on_disk = {path.name: path.read_bytes() for path in older.iterdir()}
+        _, payload = link_payload
+        host, port = daemon.address
+        expected = request_json(host, port, "POST", "/link", payload=payload)
+        with serve_bundle(older) as running:
+            older_host, older_port = running.address
+            answer = request_json(older_host, older_port, "POST", "/link", payload=payload)
+        expected.pop("executor")
+        answer.pop("executor")
+        assert answer == expected
+        assert {path.name: path.read_bytes() for path in older.iterdir()} == on_disk
 
 
 class TestSelfTest:

@@ -322,13 +322,25 @@ class TestArtifactsCommand:
     def test_artifacts_flags_parse(self):
         args = build_parser().parse_args(
             ["artifacts", "build", "--bundle", "b", "--preset", "tiny",
-             "--blocking", "qgram", "--warm-items", "50", "--no-index"]
+             "--blocking", "qgram", "--warm-items", "50"]
         )
         assert args.action == "build"
         assert args.bundle == "b"
         assert args.blocking == "qgram"
         assert args.warm_items == 50
-        assert args.index is False
+
+    @pytest.mark.parametrize(
+        "argv",
+        (["link"], ["throughput"], ["artifacts", "build", "--bundle", "b"]),
+    )
+    def test_index_toggle_is_gone(self, argv, capsys):
+        """Blocking has one candidate path, so there is no index/scan
+        switch left: the old flags are usage errors (exit 2)."""
+        for flag in ("--no-index", "--index"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, flag])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_artifacts_rejects_unknown_action(self):
         with pytest.raises(SystemExit):
