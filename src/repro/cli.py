@@ -180,11 +180,11 @@ def _non_negative_int(text: str) -> int:
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    from repro.engine import DEFAULT_CACHE_SIZE, SCORING, executor_names
+    from repro.engine import DEFAULT_CACHE_SIZE, EXECUTORS, SCORING
 
     parser.add_argument(
         "--executor",
-        choices=executor_names(),
+        choices=EXECUTORS,
         default="auto",
         help="execution strategy (default: auto = process when CPUs allow; "
         "shard = workers generate their own key-space shards' candidates "

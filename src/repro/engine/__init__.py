@@ -11,7 +11,7 @@ a streaming, chunked, optionally parallel batch job:
   normalized value pairs and shared across pairs
   (:class:`CachedRecordComparator`) — blocking makes value repetition
   common, so the cache pays for itself quickly;
-* chunks fan out over a registered execution strategy (see
+* chunks fan out over one of four execution strategies (see
   :mod:`repro.engine.executors`) with a serial fallback, and every
   executor produces identical matches in identical order;
 * the ``shard`` executor goes one level deeper: a :class:`ShardPlan`
@@ -26,9 +26,7 @@ a streaming, chunked, optionally parallel batch job:
 * each run reports :class:`EngineStats` (pairs/sec, cache hit rate,
   chunk/shard counts, transport counters) on ``LinkingResult.stats``.
 
-``LinkingPipeline`` is now a thin facade over this engine; the executor
-registry (:func:`register_executor`) is where future scaling work
-(async backends, multi-node dispatch) plugs in.
+``LinkingPipeline`` is now a thin facade over this engine.
 
 :class:`StreamingLinkingJob` is the second execution mode: record
 deltas ingested as they arrive (each delta one chunked batch job over
@@ -43,14 +41,8 @@ from repro.engine.cache import (
     CachedRecordComparator,
     LRUCache,
 )
-from repro.engine.executors import (
-    Executor,
-    executor_names,
-    get_executor,
-    register_executor,
-)
+from repro.engine.executors import EXECUTORS, Executor, get_executor
 from repro.engine.job import (
-    EXECUTORS,
     SCORING,
     JobConfig,
     LinkingJob,
@@ -72,9 +64,7 @@ __all__ = [
     "LinkingJob",
     "EngineProgress",
     "EngineStats",
-    "executor_names",
     "get_executor",
-    "register_executor",
     "ShardOutcome",
     "ShardPlan",
     "StreamingDelta",

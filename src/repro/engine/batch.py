@@ -54,7 +54,6 @@ streaming delta splits.
 
 from __future__ import annotations
 
-import threading
 import weakref
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -87,10 +86,9 @@ class BatchScorer:
     mutation ``version``, exactly like
     :func:`~repro.index.shared_record_index`.
 
-    ``thread_safe=True`` guards the interning tables and memos with an
-    ``RLock`` so the thread executor can share one scorer across its
-    pool; the serial, process and shard paths pass ``False`` and pay
-    nothing.
+    A scorer is not synchronized: the serial path runs its chunks in
+    sequence, and the pool executors build one scorer per worker
+    process.
     """
 
     __slots__ = (
@@ -106,17 +104,11 @@ class BatchScorer:
         "_field_memo",
         "_pair_memo",
         "_columns",
-        "_lock",
         "pair_hits",
         "pair_misses",
     )
 
-    def __init__(
-        self,
-        comparator: RecordComparator,
-        decider,
-        thread_safe: bool = False,
-    ) -> None:
+    def __init__(self, comparator: RecordComparator, decider) -> None:
         if isinstance(comparator, CachedRecordComparator):
             comparator = comparator.inner
         if not self.supports(comparator):
@@ -148,7 +140,6 @@ class BatchScorer:
         self._columns: "weakref.WeakKeyDictionary[RecordStore, tuple]" = (
             weakref.WeakKeyDictionary()
         )
-        self._lock = threading.RLock() if thread_safe else None
         self.pair_hits = 0
         self.pair_misses = 0
 
@@ -181,11 +172,6 @@ class BatchScorer:
         return self._decide_scored is not None
 
     @property
-    def thread_safe(self) -> bool:
-        """Whether interning tables and memos are lock-guarded."""
-        return self._lock is not None
-
-    @property
     def profile_count(self) -> int:
         """Distinct record profiles interned so far."""
         return len(self._profiles)
@@ -206,12 +192,6 @@ class BatchScorer:
         a rebuild is idempotent — previously handed-out profile ids
         stay valid because every vocabulary is append-only.
         """
-        if self._lock is not None:
-            with self._lock:
-                return self._columns_for(store)
-        return self._columns_for(store)
-
-    def _columns_for(self, store: RecordStore) -> Dict[Term, int]:
         version = getattr(store, "version", None)
         cached = self._columns.get(store)
         if cached is not None and cached[0] == version:
@@ -254,18 +234,6 @@ class BatchScorer:
         (callers must pass them), preserving exact pairwise behavior
         for stateful or record-inspecting deciders.
         """
-        if self._lock is not None:
-            with self._lock:
-                return self._decision_for(left_profile, right_profile, left, right)
-        return self._decision_for(left_profile, right_profile, left, right)
-
-    def _decision_for(
-        self,
-        left_profile: int,
-        right_profile: int,
-        left: Optional[Record],
-        right: Optional[Record],
-    ) -> Tuple[MatchStatus, float, Dict[str, float], float]:
         key = (left_profile, right_profile)
         entry = self._pair_memo.get(key)
         if entry is None:
@@ -342,14 +310,8 @@ class BatchScorer:
         either store are skipped, NON_MATCH decisions are dropped, and
         each wire carries a fresh similarities dict.
         """
-        if self._lock is not None:
-            with self._lock:
-                return self._score_chunk(pairs, external, local)
-        return self._score_chunk(pairs, external, local)
-
-    def _score_chunk(self, pairs, external, local) -> Tuple[list, list]:
-        left_profiles = self._columns_for(external)
-        right_profiles = self._columns_for(local)
+        left_profiles = self.columns_for(external)
+        right_profiles = self.columns_for(local)
         compared: list = []
         decisions: list = []
         # the memo hit is the hot path — a few dict probes and an append

@@ -34,9 +34,9 @@ class LRUCache:
 
     ``max_size <= 0`` disables storage entirely (every lookup misses and
     nothing is retained) so callers can switch memoization off without
-    branching. An optional lock makes ``get``/``put`` safe under the
-    thread executor; the serial and process paths pass ``lock=None`` and
-    pay nothing.
+    branching. An optional lock makes ``get``/``put`` safe when the serve
+    daemon's request workers share one cache; the engine's executors
+    pass ``lock=None`` and pay nothing.
     """
 
     def __init__(self, max_size: int, lock: Optional[threading.Lock] = None) -> None:
@@ -160,12 +160,10 @@ class CachedRecordComparator(RecordComparator):
     def thread_safe(self) -> bool:
         """Whether the caches synchronize ``get``/``put`` with a lock.
 
-        A long-lived comparator shared across jobs and deltas (see
-        :class:`~repro.engine.job.LinkingJob` and
-        :class:`~repro.engine.streaming.StreamingLinkingJob`) may only
-        serve a thread pool when this is true; unsynchronized instances
-        are reused on the serial path and replaced with a fresh
-        thread-safe cache by the thread executor.
+        A serve session (:class:`~repro.serve.session.LinkSession`)
+        shares one comparator across the daemon's request-queue
+        workers, so it requires this; the engine itself runs a cache
+        from one thread at a time and needs no lock.
         """
         return self._thread_safe
 

@@ -1,13 +1,12 @@
-"""``repro.engine.executors`` — pluggable execution strategies.
+"""``repro.engine.executors`` — the four execution strategies.
 
 The package splits what used to be a single ~850-line ``engine/job.py``
 monolith into the pieces a distributed engine needs to name separately:
 
-* :mod:`~repro.engine.executors.base` — the :class:`Executor` protocol,
-  the registry ``JobConfig`` validates against, and the shared fold
-  machinery every strategy feeds;
-* :mod:`~repro.engine.executors.chunked` — the serial, thread-pool and
-  process-pool chunk strategies;
+* :mod:`~repro.engine.executors.base` — the :class:`Executor` protocol
+  and the shared fold machinery every strategy feeds;
+* :mod:`~repro.engine.executors.chunked` — the serial and process-pool
+  chunk strategies;
 * :mod:`~repro.engine.executors.sharded` — the fork-pool shard strategy
   and :func:`run_shard_scan`, the one per-shard scan every transport
   shares;
@@ -16,21 +15,12 @@ monolith into the pieces a distributed engine needs to name separately:
 * :mod:`~repro.engine.executors.worker` — the subprocess transport that
   proves the protocol end-to-end on one machine.
 
-Importing the package registers the built-in strategies. Third-party
-strategies register the same way::
-
-    from repro.engine.executors import Executor, register_executor
-
-    class GPUExecutor(Executor):
-        name = "gpu"
-        def execute(self, request): ...
-
-    register_executor(GPUExecutor())
-    JobConfig(executor="gpu")   # now valid
+The strategy set is closed: :func:`get_executor` looks a name up in the
+table below, and ``JobConfig`` and ``repro link --executor`` accept
+exactly :data:`EXECUTORS`.
 """
 
 from repro.engine.executors.base import (
-    AUTO,
     ChunkOutcome,
     Decider,
     DecisionWire,
@@ -38,27 +28,35 @@ from repro.engine.executors.base import (
     Executor,
     FoldState,
     Pair,
-    executor_names,
-    get_executor,
-    register_executor,
     update_best_match,
 )
-from repro.engine.executors.chunked import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-)
+from repro.engine.executors.chunked import ProcessExecutor, SerialExecutor
 from repro.engine.executors.sharded import ShardExecutor, run_shard_scan
 from repro.engine.executors.worker import WorkerExecutor, WorkerTransportError
 
-register_executor(SerialExecutor())
-register_executor(ThreadExecutor())
-register_executor(ProcessExecutor())
-register_executor(ShardExecutor())
-register_executor(WorkerExecutor())
+_BY_NAME = {
+    e.name: e for e in (SerialExecutor(), ProcessExecutor(), ShardExecutor(), WorkerExecutor())
+}
+
+#: ``auto`` is a resolution mode, not a strategy: it picks one of the
+#: four from the machine shape (see ``JobConfig.resolved_executor``).
+AUTO = "auto"
+
+#: Every accepted ``executor`` value: the four strategies, then ``auto``.
+EXECUTORS = tuple(_BY_NAME) + (AUTO,)
+
+
+def get_executor(name: str) -> Executor:
+    """The strategy named *name* (``auto`` must be resolved first)."""
+    try:
+        return _BY_NAME[name]
+    except KeyError:
+        raise KeyError(f"unknown executor {name!r}; expected one of {EXECUTORS}") from None
+
 
 __all__ = [
     "AUTO",
+    "EXECUTORS",
     "ChunkOutcome",
     "Decider",
     "DecisionWire",
@@ -69,12 +67,9 @@ __all__ = [
     "ProcessExecutor",
     "SerialExecutor",
     "ShardExecutor",
-    "ThreadExecutor",
     "WorkerExecutor",
     "WorkerTransportError",
-    "executor_names",
     "get_executor",
-    "register_executor",
     "run_shard_scan",
     "update_best_match",
 ]

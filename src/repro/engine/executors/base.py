@@ -1,11 +1,9 @@
-"""Executor protocol, registry, and the shared fold machinery.
+"""Executor protocol and the shared fold machinery.
 
 An :class:`Executor` is one strategy for draining a blocking method's
 candidate stream through compare-and-decide workers and folding the
-outcomes back into a result. The registry makes the strategy set open:
-``JobConfig`` validates against whatever is registered, so third-party
-executors (a GPU scorer, a remote fan-out) plug in without touching the
-engine — ``register_executor`` is the only coupling point.
+outcomes back into a result. The strategy set is closed: the package
+``__init__`` holds the table of the four built-ins.
 
 The contract every executor must honor is the byte-identity invariant:
 for the same inputs, its fold must produce the same matches, the same
@@ -182,7 +180,7 @@ class ExecutionRequest:
 
 
 class Executor(abc.ABC):
-    """One execution strategy, registered by ``name``.
+    """One execution strategy, looked up by ``name``.
 
     Subclasses override:
 
@@ -214,39 +212,6 @@ class Executor(abc.ABC):
         return None
 
     @abc.abstractmethod
-    def execute(self, request: ExecutionRequest) -> Tuple[int, int]:
-        """Run the job, folding through the request; return the run's
-        similarity-cache ``(hits, misses)``."""
-
-
-_REGISTRY: Dict[str, Executor] = {}
-
-#: ``auto`` is a resolution mode, not a strategy: it picks a registered
-#: executor from the machine shape (see ``JobConfig.resolved_executor``).
-AUTO = "auto"
-
-
-def register_executor(executor: Executor, replace: bool = False) -> Executor:
-    """Register *executor* under its ``name``; returns it (decorator-friendly)."""
-    name = executor.name
-    if not name or name == AUTO:
-        raise ValueError(f"executor needs a non-reserved name, got {name!r}")
-    if name in _REGISTRY and not replace:
-        raise ValueError(f"executor {name!r} is already registered")
-    _REGISTRY[name] = executor
-    return executor
-
-
-def get_executor(name: str) -> Executor:
-    """The registered executor for *name*."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown executor {name!r}; registered: {executor_names()}"
-        ) from None
-
-
-def executor_names() -> Tuple[str, ...]:
-    """Live registry contents (registration order) plus ``auto``."""
-    return tuple(_REGISTRY) + (AUTO,)
+    def execute(self, request: ExecutionRequest) -> None:
+        """Run the job, folding every outcome — and its similarity-cache
+        hit/miss deltas — into ``request.fold``."""

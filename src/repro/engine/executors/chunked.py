@@ -1,4 +1,4 @@
-"""Chunk executors: serial, thread-pool and process-pool strategies.
+"""Chunk executors: the serial and process-pool strategies.
 
 The parent drains the blocking method's candidate stream into fixed-size
 chunks, workers compare-and-decide each chunk, and the parent folds the
@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import Executor as PoolExecutor
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Iterator, List, Optional, Tuple
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, Iterator, List, Optional
 
 from repro.engine.batch import BatchScorer
 from repro.engine.cache import CachedRecordComparator
@@ -38,7 +38,6 @@ class ChunkRunner:
         comparator: RecordComparator,
         decider: Decider,
         cache_size: int,
-        thread_safe: bool = False,
         shared_cache: Optional[CachedRecordComparator] = None,
         scoring: str = "pairwise",
         scorer: Optional[BatchScorer] = None,
@@ -47,14 +46,11 @@ class ChunkRunner:
         self._local = local
         # a caller-provided warm cache survives across runs and deltas;
         # without one the runner builds its own, cold. Batched runs
-        # keep the instance for the counter API but never consult it —
-        # its hit/miss counters stay at this run's starting values.
-        self.comparator = shared_cache or CachedRecordComparator(
-            comparator, cache_size, thread_safe=thread_safe
-        )
+        # never consult it.
+        self.comparator = shared_cache or CachedRecordComparator(comparator, cache_size)
         self.scorer = scorer
         if scoring == "batched" and self.scorer is None:
-            self.scorer = BatchScorer(comparator, decider, thread_safe=thread_safe)
+            self.scorer = BatchScorer(comparator, decider)
         self._decider = decider
 
     def run_chunk(self, pairs: List[Pair]) -> ChunkOutcome:
@@ -95,9 +91,8 @@ class ChunkRunner:
         hits_before, misses_before = scorer.pair_hits, scorer.pair_misses
         profiles_before = scorer.profile_count
         compared, decisions = scorer.score_chunk(pairs, self._external, self._local)
-        # per-chunk deltas, exact for serial and per-process workers
-        # (the thread executor overwrites fold totals with the shared
-        # scorer's run-lifetime deltas — see _LocalExecutor.execute)
+        # per-chunk deltas: exact, because a scorer serves one chunk at
+        # a time (the serial loop, or one scorer per worker process)
         return ChunkOutcome(
             pairs=compared,
             decisions=decisions,
@@ -170,76 +165,28 @@ def pump(
         handle(pending.popleft().result())
 
 
-class _LocalExecutor(Executor):
-    """Shared serial/thread strategy: one in-process :class:`ChunkRunner`."""
+class SerialExecutor(Executor):
+    """Every chunk through one in-process :class:`ChunkRunner`, in order."""
 
-    threaded = False
+    name = "serial"
 
-    def execute(self, request: ExecutionRequest) -> Tuple[int, int]:
+    def execute(self, request: ExecutionRequest) -> None:
         chunks = chunk_pairs(
             request.blocking.candidate_pairs(request.external, request.local),
             request.config.chunk_size,
         )
-        shared = request.shared_cache
-        if shared is not None and self.threaded and not shared.thread_safe:
-            # an unsynchronized warm cache cannot serve a thread pool;
-            # fall back to a fresh per-job thread-safe cache
-            shared = None
-        scorer = None
-        if request.scoring == "batched":
-            scorer = request.batch_scorer
-            if scorer is not None and self.threaded and not scorer.thread_safe:
-                # same rule as the warm cache: an unguarded shared scorer
-                # cannot serve a thread pool
-                scorer = None
         runner = ChunkRunner(
             request.external,
             request.local,
             request.comparator,
             request.decider,
             request.cache_size,
-            thread_safe=self.threaded,
-            shared_cache=shared,
+            shared_cache=request.shared_cache,
             scoring=request.scoring,
-            scorer=scorer,
+            scorer=request.batch_scorer if request.scoring == "batched" else None,
         )
-        # the comparator (and scorer) may be warm from earlier runs:
-        # report this run's lookups, not lifetime totals
-        hits_before = runner.comparator.cache_hits
-        misses_before = runner.comparator.cache_misses
-        if runner.scorer is not None:
-            batch_hits_before = runner.scorer.pair_hits
-            batch_misses_before = runner.scorer.pair_misses
-            batch_profiles_before = runner.scorer.profile_count
-        if self.threaded:
-            with ThreadPoolExecutor(max_workers=request.workers) as pool:
-                pump(pool, runner.run_chunk, chunks, request.handle, request.workers)
-        else:
-            for chunk in chunks:
-                request.handle(runner.run_chunk(chunk))
-        fold = request.fold
-        if runner.scorer is not None:
-            # the scorer is shared across the pool, so per-chunk delta
-            # snapshots may interleave under threads: overwrite the fold
-            # totals with the exact run-lifetime deltas
-            fold.batch_hits = runner.scorer.pair_hits - batch_hits_before
-            fold.batch_misses = runner.scorer.pair_misses - batch_misses_before
-            fold.batch_profiles = runner.scorer.profile_count - batch_profiles_before
-        # shared cache: exact per-run deltas live on the runner's comparator
-        return (
-            runner.comparator.cache_hits - hits_before,
-            runner.comparator.cache_misses - misses_before,
-        )
-
-
-class SerialExecutor(_LocalExecutor):
-    name = "serial"
-    threaded = False
-
-
-class ThreadExecutor(_LocalExecutor):
-    name = "thread"
-    threaded = True
+        for chunk in chunks:
+            request.handle(runner.run_chunk(chunk))
 
 
 class ProcessExecutor(Executor):
@@ -247,7 +194,7 @@ class ProcessExecutor(Executor):
 
     name = "process"
 
-    def execute(self, request: ExecutionRequest) -> Tuple[int, int]:
+    def execute(self, request: ExecutionRequest) -> None:
         chunks = chunk_pairs(
             request.blocking.candidate_pairs(request.external, request.local),
             request.config.chunk_size,
@@ -265,6 +212,3 @@ class ProcessExecutor(Executor):
             ),
         ) as pool:
             pump(pool, _run_process_chunk, chunks, request.handle, request.workers)
-        # per-worker caches: totals are the summed per-chunk deltas
-        fold = request.fold
-        return fold.cache_hits, fold.cache_misses

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from repro.engine.batch import BatchScorer
 from repro.engine.cache import CachedRecordComparator
@@ -210,15 +210,13 @@ class ShardProgress:
 
 def merge_outcomes_into_fold(
     request: ExecutionRequest, outcomes: Iterable[ShardOutcome]
-) -> Tuple[int, int]:
-    """Merge shard groups back into serial emission order and fold them;
-    returns the folded similarity-cache ``(hits, misses)``."""
+) -> None:
+    """Merge shard groups back into serial emission order and fold them."""
     fold = request.fold
     for _sort_key, pairs, wires in merge_shard_groups(outcomes):
         fold.compared += len(pairs)
         fold.candidate_pairs.extend(pairs)
         fold.fold_decisions(wires)
-    return fold.cache_hits, fold.cache_misses
 
 
 class ShardExecutor(Executor):
@@ -249,7 +247,7 @@ class ShardExecutor(Executor):
         # is the closest strategy that still parallelizes
         return f"{type(blocking).__name__} has no per-key block decomposition"
 
-    def execute(self, request: ExecutionRequest) -> Tuple[int, int]:
+    def execute(self, request: ExecutionRequest) -> None:
         config = request.config
         plan = ShardPlan.build(
             config.resolved_shards(),
@@ -276,4 +274,4 @@ class ShardExecutor(Executor):
                 outcome = future.result()
                 outcomes.append(outcome)
                 progress.note(outcome)
-        return merge_outcomes_into_fold(request, outcomes)
+        merge_outcomes_into_fold(request, outcomes)

@@ -24,7 +24,7 @@ import subprocess
 import sys
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.engine.executors.base import Decider, ExecutionRequest, Executor
 from repro.engine.executors.sharded import ShardProgress, merge_outcomes_into_fold
@@ -115,7 +115,7 @@ class WorkerExecutor(Executor):
             return f"{type(blocking).__name__} has no per-key block decomposition"
         return work_unit_unsupported_reason(blocking, comparator, decider)
 
-    def execute(self, request: ExecutionRequest) -> Tuple[int, int]:
+    def execute(self, request: ExecutionRequest) -> None:
         from repro.engine.executors.protocol import (
             WorkUnitError,
             build_work_units,
@@ -162,4 +162,4 @@ class WorkerExecutor(Executor):
                 fold.work_unit_bytes += len(texts[shard]) + len(reply)
                 outcomes.append(outcome)
                 progress.note(outcome)
-        return merge_outcomes_into_fold(request, outcomes)
+        merge_outcomes_into_fold(request, outcomes)

@@ -2,20 +2,19 @@
 
 :class:`LinkingJob` is the execution substrate under every linking run:
 candidate pairs from a blocking method are compared and decided by one
-of the registered execution strategies (see
-:mod:`repro.engine.executors`), and the outcomes are folded back — in a
-deterministic order — into one
+of the four execution strategies (see :mod:`repro.engine.executors`),
+and the outcomes are folded back — in a deterministic order — into one
 :class:`~repro.linking.pipeline.LinkingResult`.
 
-The contract every strategy honors is byte-identity: serial, thread,
-process, fork-pool shard and subprocess worker execution produce
-identical matches, in identical order. This module owns what is
-*strategy-independent*: :class:`JobConfig` (validated against the live
-executor registry, so third-party strategies plug in), the degradation
-chain (an executor that cannot run a job names why and hands off to its
-fallback — e.g. ``worker`` → ``shard`` → ``process`` — with the reasons
-recorded in :class:`~repro.engine.stats.EngineStats`), and the
-serial-fallback guard for pool-bringup and transport failures. Errors
+The contract every strategy honors is byte-identity: serial, process,
+fork-pool shard and subprocess worker execution produce identical
+matches, in identical order. This module owns what is
+*strategy-independent*: :class:`JobConfig` (validated against
+:data:`~repro.engine.executors.EXECUTORS`), the degradation chain (an
+executor that cannot run a job names why and hands off to its fallback
+— e.g. ``worker`` → ``shard`` → ``process`` — with the reasons recorded
+in :class:`~repro.engine.stats.EngineStats`), and the serial-fallback
+guard for pool-bringup and transport failures. Errors
 raised by comparator or matcher code propagate unchanged.
 """
 
@@ -26,18 +25,18 @@ import pickle
 import time
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.engine.batch import BatchScorer
 from repro.engine.cache import DEFAULT_CACHE_SIZE, CachedRecordComparator
 from repro.engine.executors import (
     AUTO,
+    EXECUTORS,
     Decider,
     DecisionWire,
     ExecutionRequest,
     FoldState,
     Pair,
-    executor_names,
     get_executor,
     update_best_match,
 )
@@ -49,7 +48,6 @@ from repro.linking.pipeline import LinkingResult
 from repro.linking.records import RecordStore
 
 __all__ = [
-    "EXECUTORS",
     "SCORING",
     "Decider",
     "DecisionWire",
@@ -60,18 +58,10 @@ __all__ = [
     "update_best_match",
 ]
 
-#: Snapshot of the registered strategies at import time (the built-ins).
-#: Validation uses the *live* registry — see ``JobConfig.__post_init__``
-#: — so strategies registered later are accepted without touching this.
-EXECUTORS = executor_names()
-
 #: Scoring paths: per-pair comparator dispatch, or the columnar
 #: batched scorer (see :mod:`repro.engine.batch`) — byte-identical
 #: output, memoized per record profile pair.
 SCORING = ("pairwise", "batched")
-
-#: Back-compat alias: the fold machinery lives in the executors package.
-_FoldState = FoldState
 
 
 def available_cpu_count() -> int:
@@ -107,14 +97,11 @@ class JobConfig:
     """Execution knobs of a :class:`LinkingJob`.
 
     * ``chunk_size`` — candidate pairs per work unit (chunk executors);
-    * ``executor`` — any registered strategy (built-ins: ``serial``,
-      ``thread``, ``process``, ``shard`` — block-parallel, workers
-      generate their own shards' candidates in-worker — and ``worker``
-      — every shard crosses a serialize→subprocess→deserialize
-      boundary) or ``auto`` (process when more than one CPU is
-      available). Validated against the live registry, so executors
-      registered via
-      :func:`repro.engine.executors.register_executor` are accepted;
+    * ``executor`` — one of :data:`EXECUTORS`: ``serial``, ``process``,
+      ``shard`` (block-parallel, workers generate their own shards'
+      candidates in-worker), ``worker`` (every shard crosses a
+      serialize→subprocess→deserialize boundary) or ``auto`` (process
+      when more than one CPU is available);
     * ``workers`` — worker count (default: the CPUs *available* to the
       process, affinity/cgroup aware); 1 runs serially for the pool
       strategies (``worker`` keeps its boundary even at 1);
@@ -146,10 +133,10 @@ class JobConfig:
     def __post_init__(self) -> None:
         if self.chunk_size < 1:
             raise ValueError(f"chunk size must be >= 1, got {self.chunk_size}")
-        registered = executor_names()
-        if self.executor not in registered:
+        if self.executor not in EXECUTORS:
             raise ValueError(
-                f"executor must be one of {registered}, got {self.executor!r}"
+                f"executor must be one of {', '.join(EXECUTORS)}, "
+                f"got {self.executor!r}"
             )
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
@@ -193,7 +180,7 @@ class JobConfig:
 
 
 class LinkingJob:
-    """A complete linking run dispatched to a registered executor.
+    """A complete linking run dispatched to one of the four executors.
 
     >>> job = LinkingJob(blocking, comparator, matcher,
     ...                  JobConfig(executor="process", chunk_size=512))
@@ -215,16 +202,15 @@ class LinkingJob:
         self._shared_cache: Optional[CachedRecordComparator] = None
         # a caller-provided warm scorer (the streaming engine owns one
         # per stream) survives across runs, like the shared cache; the
-        # process and shard executors ignore it and build per-worker
-        # scorers after the fork
+        # pool executors ignore it and build per-worker scorers
         self._batch_scorer = batch_scorer
         if isinstance(comparator, CachedRecordComparator):
             # honor the caller's cache configuration — and keep the
-            # instance: the serial and thread paths reuse it directly,
-            # so memoized similarities survive across runs (streaming
-            # deltas, repeated jobs against one catalog). The process
-            # executor still ships the inner comparator and workers
-            # build their own per-process caches at the same capacity.
+            # instance: the serial path reuses it directly, so memoized
+            # similarities survive across runs (streaming deltas,
+            # repeated jobs against one catalog). The pool executors
+            # still ship the inner comparator and workers build their
+            # own per-process caches at the same capacity.
             self._cache_size = comparator.cache_capacity
             self._shared_cache = comparator
             comparator = comparator.inner
@@ -271,9 +257,7 @@ class LinkingJob:
             scoring = "pairwise"
         fold = FoldState(external, local, config.best_match_only)
         try:
-            hits, misses = self._attempt(
-                impl, workers, scoring, external, local, fold, started
-            )
+            self._attempt(impl, workers, scoring, external, local, fold, started)
         except FALLBACK_ERRORS as exc:
             # An OSError after a chunk already completed is more likely a
             # bug in comparator/progress code than pool bringup: propagate
@@ -287,9 +271,7 @@ class LinkingJob:
             executor, workers = "serial", 1
             impl = get_executor(executor)
             fold = FoldState(external, local, config.best_match_only)
-            hits, misses = self._attempt(
-                impl, workers, scoring, external, local, fold, started
-            )
+            self._attempt(impl, workers, scoring, external, local, fold, started)
         fallback_reason = "; ".join(fallbacks) if fallbacks else None
         elapsed = time.perf_counter() - started
         # index-backed blocking methods report their shared index after
@@ -309,8 +291,8 @@ class LinkingJob:
             chunk_count=fold.chunks_done,
             pairs_compared=fold.compared,
             elapsed_seconds=elapsed,
-            cache_hits=hits,
-            cache_misses=misses,
+            cache_hits=fold.cache_hits,
+            cache_misses=fold.cache_misses,
             shard_count=config.resolved_shards() if impl.uses_shard_plan else 0,
             fallback_reason=fallback_reason,
             index_build_seconds=index_stats.build_seconds if index_stats else 0.0,
@@ -343,7 +325,7 @@ class LinkingJob:
         local: RecordStore,
         fold: FoldState,
         started: float,
-    ) -> Tuple[int, int]:
+    ) -> None:
         on_progress = self._config.on_progress
 
         def handle(outcome: ChunkOutcome) -> None:
@@ -374,4 +356,4 @@ class LinkingJob:
             shared_cache=self._shared_cache,
             batch_scorer=self._batch_scorer,
         )
-        return impl.execute(request)
+        impl.execute(request)

@@ -8,12 +8,11 @@ runs that workload on top of the batch substrate:
 * **record deltas** (:meth:`StreamingLinkingJob.ingest`) are linked
   against the local store as they arrive, each delta executed as one
   chunked batch job, so every executor strategy, the similarity cache
-  and the engine stats work unchanged — and on the serial and thread
-  paths the stream owns **one** :class:`CachedRecordComparator` shared
-  by every delta, so a value pair memoized in delta 0 is never
-  recomputed by delta N (the process executor keeps per-worker caches
-  instead: a warm parent cache cannot be shared with forked workers
-  cheaply);
+  and the engine stats work unchanged — and on the serial path the
+  stream owns **one** :class:`CachedRecordComparator` shared by every
+  delta, so a value pair memoized in delta 0 is never recomputed by
+  delta N (the pool executors keep per-worker caches instead: a warm
+  parent cache cannot be shared with forked workers cheaply);
 * **training deltas** (:meth:`StreamingLinkingJob.ingest_links`) grow an
   :class:`~repro.core.incremental.IncrementalRuleLearner`; the next
   record delta is blocked with rules re-emitted from the learner's
@@ -149,7 +148,7 @@ class StreamingLinkingJob:
             shared_cache
             and not batched
             and not isinstance(comparator, CachedRecordComparator)
-            and resolved in ("serial", "thread")
+            and resolved == "serial"
             and self._config.cache_size > 0
         ):
             # one warm similarity cache for the whole stream: per-delta
@@ -160,26 +159,20 @@ class StreamingLinkingJob:
             # streams skip the wrapper — the columnar scorer below plays
             # the warm-cache role and the pairwise cache would only
             # report misleading zeros.
-            comparator = CachedRecordComparator(
-                comparator,
-                self._config.cache_size,
-                thread_safe=resolved == "thread",
-            )
+            comparator = CachedRecordComparator(comparator, self._config.cache_size)
         self._batch_scorer = None
         if (
             batched
             and shared_cache
-            and resolved in ("serial", "thread")
+            and resolved == "serial"
             and BatchScorer.supports(comparator)
         ):
             # the batched analogue of the stream-owned cache: one scorer
             # for the whole stream, so profiles interned and profile
             # pairs scored in delta 0 are reused by every later delta
             # (the local store's column survives across deltas, version
-            # guarded). Process/shard deltas build per-worker scorers.
-            self._batch_scorer = BatchScorer(
-                comparator, decider, thread_safe=resolved == "thread"
-            )
+            # guarded). Pool-executor deltas build per-worker scorers.
+            self._batch_scorer = BatchScorer(comparator, decider)
         self._comparator = comparator
         self._decider = decider
         self._blocking = blocking

@@ -142,8 +142,8 @@ class LinkSession:
             comparator.cache_load(bundle.comparator_cache)
         if not comparator.thread_safe:
             # the serve-path invariant: concurrent requests share this
-            # comparator through the engine's serial and thread paths,
-            # which reuse caller-provided caches as-is
+            # comparator through the engine's serial path, which reuses
+            # a caller-provided cache as-is
             raise ServeError(
                 "serve sessions require a thread-safe shared comparator"
             )

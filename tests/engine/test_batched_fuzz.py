@@ -170,7 +170,7 @@ def test_batched_memo_counters_account_for_every_pair(problem):
     assert stats.cache_hits == 0 and stats.cache_misses == 0
 
 
-@given(linking_problems(), st.sampled_from(("thread", "process", "shard")))
+@given(linking_problems(), st.sampled_from(("process", "shard")))
 @settings(max_examples=12, deadline=None)
 def test_batched_equals_pairwise_under_pool_executors(problem, executor):
     """Thin pooled leg: workers chunk, score and fold concurrently, yet

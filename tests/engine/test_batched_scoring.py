@@ -232,13 +232,9 @@ class TestBatchScorerUnit:
         # vocabularies are append-only: previously handed-out ids survive
         assert all(after[rid] == pid for rid, pid in before.items())
 
-    def test_thread_safe_flag(self, comparator):
-        assert not BatchScorer(comparator, ThresholdMatcher()).thread_safe
-        assert BatchScorer(comparator, ThresholdMatcher(), thread_safe=True).thread_safe
-
 
 class TestBatchedJobIdentity:
-    @pytest.mark.parametrize("executor", ("serial", "thread", "process", "shard"))
+    @pytest.mark.parametrize("executor", ("serial", "process", "shard"))
     def test_batched_byte_identical_to_pairwise_under_every_executor(
         self, comparator, stores, executor
     ):
@@ -444,7 +440,7 @@ class TestStreamingBatched:
             JobConfig(executor="serial"),
         ).run(RecordStore(EXTERNAL_RECORDS), RecordStore(LOCAL_RECORDS))
 
-    @pytest.mark.parametrize("executor", ("serial", "thread"))
+    @pytest.mark.parametrize("executor", ("serial", "process", "shard"))
     def test_streamed_batched_matches_pairwise_batch(self, comparator, executor):
         config = JobConfig(executor=executor, workers=2, chunk_size=4, scoring="batched")
         job = self.stream(comparator, config)
@@ -457,10 +453,10 @@ class TestStreamingBatched:
         assert stats.scoring == "batched"
         assert stats.batch_profiles > 0
         assert stats.cache_hits == 0 and stats.cache_misses == 0
-        # the stream owns one scorer for the whole delta sequence,
-        # thread-safe exactly when the pool needs it
-        assert job._batch_scorer is not None
-        assert job._batch_scorer.thread_safe == (executor == "thread")
+        assert stats.executor == executor
+        # a serial stream owns one scorer for the whole delta sequence;
+        # pool-executor deltas build per-worker scorers instead
+        assert (job._batch_scorer is not None) == (executor == "serial")
 
     def test_stream_owned_scorer_carries_memos_across_deltas(self, comparator):
         config = JobConfig(executor="serial", chunk_size=4, scoring="batched")

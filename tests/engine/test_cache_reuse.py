@@ -95,25 +95,19 @@ class TestLinkingJobReuse:
         assert warm.match_pairs == cold.match_pairs
         assert [d.score for d in warm.matches] == [d.score for d in cold.matches]
 
-    def test_thread_executor_reuses_thread_safe_cache(self, stores):
+    @pytest.mark.parametrize("executor", ("process", "shard"))
+    def test_pool_executors_leave_the_callers_cache_untouched(self, stores, executor):
+        """Pool workers build their own per-process caches at the shared
+        cache's capacity; the caller's instance is never consulted, and
+        the output is the serial run's."""
         external, local = stores
-        shared = CachedRecordComparator(_bare(), 1000, thread_safe=True)
-        job = _job(shared, executor="thread", workers=2)
-        job.run(external, local)
-        before = shared.cache_hits + shared.cache_misses
-        assert before > 0
-        job.run(external, local)
-        assert shared.cache_hits + shared.cache_misses > before
-
-    def test_thread_executor_refuses_unsynchronized_cache(self, stores):
-        external, local = stores
-        shared = CachedRecordComparator(_bare(), 1000)  # no lock
-        assert not shared.thread_safe
-        job = _job(shared, executor="thread", workers=2)
-        result = job.run(external, local)
-        # ran on a fresh thread-safe cache; the caller's stayed untouched
+        shared = CachedRecordComparator(_bare(), 1000)
+        result = _job(shared, executor=executor, workers=2).run(external, local)
+        serial = _job(_bare()).run(external, local)
+        assert result.stats.executor == executor
         assert shared.cache_hits + shared.cache_misses == 0
-        assert result.stats.cache_hits + result.stats.cache_misses > 0
+        assert result.match_pairs == serial.match_pairs
+        assert [d.score for d in result.matches] == [d.score for d in serial.matches]
 
     def test_zero_capacity_shared_cache_still_correct(self, stores):
         external, local = stores

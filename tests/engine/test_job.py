@@ -6,6 +6,14 @@ import pytest
 
 from repro.engine import EngineStats, JobConfig, LinkingJob
 import repro.engine.executors.chunked as chunked_module
+from repro.engine.executors import (
+    EXECUTORS,
+    ProcessExecutor,
+    SerialExecutor,
+    ShardExecutor,
+    WorkerExecutor,
+    get_executor,
+)
 import repro.engine.job as job_module
 from repro.linking import (
     FieldComparator,
@@ -133,7 +141,7 @@ class TestSerialEquivalence:
         assert result.compared == serial_result.compared
         assert result.candidate_pairs == serial_result.candidate_pairs
 
-    @pytest.mark.parametrize("executor", ("thread", "process"))
+    @pytest.mark.parametrize("executor", ("process",))
     def test_parallel_executors_match_serial(
         self, comparator, stores, serial_result, executor
     ):
@@ -371,6 +379,10 @@ class TestConfigValidation:
             JobConfig(chunk_size=0)
         with pytest.raises(ValueError):
             JobConfig(executor="gpu")
+        with pytest.raises(
+            ValueError, match=r"one of serial, process, shard, worker, auto,"
+        ):
+            JobConfig(executor="thread")
         with pytest.raises(ValueError):
             JobConfig(workers=0)
         with pytest.raises(ValueError):
@@ -379,5 +391,33 @@ class TestConfigValidation:
     def test_auto_resolution(self):
         assert JobConfig(executor="auto", workers=1).resolved_executor() == "serial"
         assert JobConfig(executor="auto", workers=4).resolved_executor() == "process"
-        assert JobConfig(executor="thread", workers=1).resolved_executor() == "serial"
+        assert JobConfig(executor="process", workers=1).resolved_executor() == "serial"
         assert JobConfig(executor="serial").resolved_workers() >= 1
+
+
+class TestExecutorTable:
+    """The strategy set is a closed table: four names plus ``auto``."""
+
+    def test_accepted_names_are_the_four_strategies_then_auto(self):
+        assert EXECUTORS == ("serial", "process", "shard", "worker", "auto")
+
+    @pytest.mark.parametrize(
+        "name, cls",
+        [
+            ("serial", SerialExecutor),
+            ("process", ProcessExecutor),
+            ("shard", ShardExecutor),
+            ("worker", WorkerExecutor),
+        ],
+    )
+    def test_lookup_returns_the_named_strategy(self, name, cls):
+        executor = get_executor(name)
+        assert isinstance(executor, cls)
+        assert executor.name == name
+        assert JobConfig(executor=name).executor == name
+
+    @pytest.mark.parametrize("name", ("thread", "auto"))
+    def test_lookup_refuses_names_outside_the_table(self, name):
+        # ``thread`` is gone; ``auto`` must be resolved before lookup
+        with pytest.raises(KeyError, match="expected one of"):
+            get_executor(name)

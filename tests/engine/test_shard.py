@@ -337,7 +337,7 @@ class TestTieBreakInvariance:
         )
         return external, local
 
-    @pytest.mark.parametrize("executor", ("serial", "thread", "process", "shard"))
+    @pytest.mark.parametrize("executor", ("serial", "process", "shard"))
     def test_all_executors_pick_the_smallest_local_id(
         self, comparator, tie_stores, executor
     ):

@@ -1,7 +1,8 @@
 """Executor invariance over the scenario matrix.
 
-The engine's contract: serial, thread, process and shard executors
-produce byte-identical ``LinkingResult``s. The engine unit tests pin
+The engine's contract: the serial, process and shard executors produce
+byte-identical ``LinkingResult``s (the ``worker`` leg lives in
+``test_worker_executor.py``). The engine unit tests pin
 this on synthetic workloads; here it is pinned on real registered
 scenarios — a key-blocked one, a rule-driven one (whose blocking shards
 on the external id) and a q-gram one (whose blocking shards on the
@@ -18,7 +19,7 @@ from repro.linking import CanopyBlocking, SortedNeighbourhood
 from repro.scenarios import get_scenario, run_scenario
 
 #: One key-blocked, one rule-blocked and one q-gram scenario keep the
-#: matrix representative without paying four executors times ten
+#: matrix representative without paying three executors times ten
 #: workloads.
 SCENARIOS = (
     "electronics-tiny-prefix",
@@ -26,7 +27,7 @@ SCENARIOS = (
     "electronics-harsh-feed",
 )
 
-EXECUTORS = ("thread", "process", "shard")
+EXECUTORS = ("process", "shard")
 
 
 def _config(executor, scoring="pairwise"):

@@ -128,6 +128,30 @@ class TestConcurrentIdentity:
         assert expected["matches"] > 0
         assert expected["sameas_ntriples"]
 
+    def test_concurrent_links_lose_no_cache_lookup(self, daemon, link_payload):
+        """Every request makes the same number of similarity lookups on
+        the session's shared, locked comparator, so 8 concurrent requests
+        add exactly 8x what one adds; a lost counter update shows."""
+        host, port = daemon.address
+        _, payload = link_payload
+
+        def lookups():
+            stats = request_json(host, port, "GET", "/stats")
+            cache = stats["sessions"]["default"]["cache"]
+            return cache["hits"] + cache["misses"]
+
+        def one_request(_):
+            return request_json(host, port, "POST", "/link", payload=payload)
+
+        before = lookups()
+        one_request(0)
+        per_request = lookups() - before
+        assert per_request > 0
+        before = lookups()
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(one_request, range(8)))
+        assert lookups() - before == 8 * per_request
+
     def test_delta_stream_accumulates(self, daemon, link_payload):
         host, port = daemon.address
         _, payload = link_payload

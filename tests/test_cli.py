@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.engine.executors import EXECUTORS
 
 
 class TestParser:
@@ -57,9 +58,16 @@ class TestParser:
         assert args.blocking == "rules"
         assert args.match_threshold == 0.8
 
+    @pytest.mark.parametrize("name", EXECUTORS)
+    def test_link_accepts_every_executor(self, name):
+        args = build_parser().parse_args(["link", "--executor", name])
+        assert args.executor == name
+
     def test_link_rejects_unknown_executor(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["link", "--executor", "gpu"])
+        for name in ("gpu", "thread"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["link", "--executor", name])
+            assert exc.value.code == 2
 
     @pytest.mark.parametrize(
         "flags",
