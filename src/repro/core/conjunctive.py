@@ -96,7 +96,7 @@ class ConjunctiveRuleLearner:
             list(config.properties) if config.properties is not None else None
         )
         total = len(examples)
-        min_count = self._min_count(total)
+        min_count = config.min_count(total)
 
         # per-link segment sets per property (set semantics, as in Alg. 1),
         # kept per *value* so conjunctions require co-occurrence in one value
@@ -187,11 +187,3 @@ class ConjunctiveRuleLearner:
             )
         )
         return rules
-
-    def _min_count(self, total: int) -> int:
-        import math
-
-        threshold = self.config.support_threshold * total
-        if self.config.strict_threshold:
-            return int(math.floor(threshold)) + 1
-        return max(1, int(math.ceil(threshold)))

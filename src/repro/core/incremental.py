@@ -136,20 +136,12 @@ class IncrementalRuleLearner:
     # ------------------------------------------------------------------
     # emission
     # ------------------------------------------------------------------
-    def _min_count(self) -> int:
-        import math
-
-        threshold = self.config.support_threshold * self._index.rows
-        if self.config.strict_threshold:
-            return int(math.floor(threshold)) + 1
-        return max(1, int(math.ceil(threshold)))
-
     def rules(self) -> RuleSet:
         """The current rule set under the configured threshold."""
         index = self._index
         if index.rows == 0:
             return RuleSet()
-        min_count = self._min_count()
+        min_count = self.config.min_count(index.rows)
         pair_counts = index.frequent_pairs(min_count)
         class_counts = index.frequent_classes(min_count)
         conjunction_counts = index.conjunction_counts(
@@ -179,7 +171,7 @@ class IncrementalRuleLearner:
     def statistics(self) -> LearningStatistics:
         """Index snapshot in the batch learner's statistics shape."""
         index = self._index
-        min_count = self._min_count() if index.rows else 1
+        min_count = self.config.min_count(index.rows)
         pair_counts = index.frequent_pairs(min_count)
         selected_segments = {segment for _, segment in pair_counts}
         return LearningStatistics(

@@ -30,6 +30,7 @@ identical rule sets and statistics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -70,6 +71,19 @@ class LearnerConfig:
             raise LearnerError(
                 f"support threshold must be in [0, 1), got {self.support_threshold}"
             )
+
+    def min_count(self, total: int) -> int:
+        """Translate the fractional ``th`` into a link-count threshold.
+
+        Strict semantics: frequency > th, i.e. count/total > th, i.e.
+        count >= floor(th * total) + 1. With the paper's numbers
+        (th=0.002, |TS|=10265) this gives count >= 21 — matching "68
+        selected classes have more than 20 instances".
+        """
+        threshold = self.support_threshold * total
+        if self.strict_threshold:
+            return int(math.floor(threshold)) + 1
+        return max(1, int(math.ceil(threshold)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,7 +158,7 @@ class RuleLearner:
         if index is None:
             index = self.build_index(training_set)
         total = index.rows
-        min_count = self._min_count(total)
+        min_count = self.config.min_count(total)
 
         # Pass 1: frequent (property, segment) pairs = long-enough postings.
         pair_counts = index.frequent_pairs(min_count)
@@ -187,18 +201,3 @@ class RuleLearner:
             rule_count=len(rules),
         )
         return RuleSet(rules)
-
-    def _min_count(self, total: int) -> int:
-        """Translate the fractional ``th`` into a link-count threshold.
-
-        Strict semantics: frequency > th, i.e. count/total > th, i.e.
-        count >= floor(th * total) + 1. With the paper's numbers
-        (th=0.002, |TS|=10265) this gives count >= 21 — matching "68
-        selected classes have more than 20 instances".
-        """
-        import math
-
-        threshold = self.config.support_threshold * total
-        if self.config.strict_threshold:
-            return int(math.floor(threshold)) + 1
-        return max(1, int(math.ceil(threshold)))

@@ -240,8 +240,7 @@ class ShardExecutor(Executor):
         comparator: RecordComparator,
         decider: Decider,
     ) -> Optional[str]:
-        supports = getattr(blocking, "supports_sharding", None)
-        if callable(supports) and supports():
+        if isinstance(blocking, BlockingMethod):
             return None
         # no per-key block decomposition: the chunked process executor
         # is the closest strategy that still parallelizes

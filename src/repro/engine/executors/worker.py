@@ -110,8 +110,7 @@ class WorkerExecutor(Executor):
     ) -> Optional[str]:
         from repro.engine.executors.protocol import work_unit_unsupported_reason
 
-        supports = getattr(blocking, "supports_sharding", None)
-        if not (callable(supports) and supports()):
+        if not isinstance(blocking, BlockingMethod):
             return f"{type(blocking).__name__} has no per-key block decomposition"
         return work_unit_unsupported_reason(blocking, comparator, decider)
 

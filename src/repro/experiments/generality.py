@@ -65,7 +65,7 @@ def run_generality(
     rules = learner.learn(training_set)
 
     histogram = training_set.class_histogram()
-    min_count = int(support_threshold * len(training_set)) + 1
+    min_count = learner.config.min_count(len(training_set))
     frequent = frozenset(
         cls for cls, count in histogram.items() if count >= min_count
     )

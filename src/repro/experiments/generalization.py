@@ -112,9 +112,8 @@ def run_generalization(
         catalog = ElectronicCatalogGenerator(CatalogConfig.thales_like()).generate()
     training_set = catalog.to_training_set()
 
-    rules = RuleLearner(
-        LearnerConfig(properties=(PART_NUMBER,), support_threshold=support_threshold)
-    ).learn(training_set)
+    config = LearnerConfig(properties=(PART_NUMBER,), support_threshold=support_threshold)
+    rules = RuleLearner(config).learn(training_set)
     base = rules.with_min_confidence(min_confidence)
 
     generalizer = RuleGeneralizer(
@@ -129,7 +128,7 @@ def run_generalization(
     extended = base.merge(RuleSet(lifted_confident))
 
     histogram = training_set.class_histogram()
-    min_count = int(support_threshold * len(training_set)) + 1
+    min_count = config.min_count(len(training_set))
     frequent = frozenset(
         cls for cls, count in histogram.items() if count >= min_count
     )

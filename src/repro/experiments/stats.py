@@ -109,7 +109,7 @@ def run_stats(
     min_lift = min(lifts) if lifts else 0.0
 
     histogram = training_set.class_histogram()
-    min_count = int(support_threshold * len(training_set)) + 1
+    min_count = learner.config.min_count(len(training_set))
     frequent_classes = frozenset(
         cls for cls, count in histogram.items() if count >= min_count
     )

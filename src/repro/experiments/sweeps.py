@@ -71,7 +71,7 @@ def run_support_sweep(
         rules = learner.learn(training_set)
         confident = rules.with_min_confidence(0.4)
         histogram = training_set.class_histogram()
-        min_count = int(threshold * len(training_set)) + 1
+        min_count = learner.config.min_count(len(training_set))
         frequent = frozenset(
             cls for cls, count in histogram.items() if count >= min_count
         )
@@ -140,7 +140,9 @@ def run_segmentation_ablation(
     strategies = strategies or default_segmentation_strategies()
 
     histogram = training_set.class_histogram()
-    min_count = int(support_threshold * len(training_set)) + 1
+    min_count = LearnerConfig(support_threshold=support_threshold).min_count(
+        len(training_set)
+    )
     frequent = frozenset(
         cls for cls, count in histogram.items() if count >= min_count
     )

@@ -187,11 +187,10 @@ def run_table1(
     )
     rules = learner.learn(training_set)
 
-    frequent = frozenset(rules.concluded_classes())
     # eligible denominator: items whose class passed the frequency filter
     # (use the learner's frequent classes, i.e. classes a rule could target)
     histogram = training_set.class_histogram()
-    min_count = int(support_threshold * len(training_set)) + 1
+    min_count = learner.config.min_count(len(training_set))
     frequent_classes = frozenset(
         cls for cls, count in histogram.items() if count >= min_count
     )

@@ -26,13 +26,12 @@ rule index. The scan implementations these replaced live on as test
 oracles (``tests/oracles/blocking.py``), and the tests assert every
 method emits exactly their candidate pair sequences.
 
-Every registered method supports the engine's ``shard`` executor
-through the per-key block iteration API
-(:meth:`BlockingMethod.supports_sharding`,
-:meth:`~BlockingMethod.shard_block_sizes`,
-:meth:`~BlockingMethod.shard_candidate_pairs`): a process worker draws
-only the candidate pairs whose block key its
-:class:`~repro.engine.shard.ShardPlan` shard owns, lazily, in-worker.
+Each family has one candidate generator,
+:meth:`~BlockingMethod.shard_candidate_pairs`: a process worker of the
+engine's ``shard`` executor draws only the candidate pairs whose block
+key its :class:`~repro.engine.shard.ShardPlan` shard owns, lazily,
+in-worker, and :meth:`~BlockingMethod.candidate_pairs` is the same
+generator with no plan (one shard owning every key), its keys stripped.
 Each class has its own partitioning argument:
 
 * **standard blocking** shards on its blocking key (block sizes read
@@ -113,10 +112,25 @@ class BlockingMethod(ABC):
     """Produces candidate pairs between an external and a local store."""
 
     @abstractmethod
+    def shard_candidate_pairs(
+        self,
+        external: RecordStore,
+        local: RecordStore,
+        plan: "ShardPlan | None" = None,
+        shard: int = 0,
+    ) -> Iterator[ShardedPair]:
+        """Candidate pairs whose block key *plan* assigns to *shard*
+        (``plan=None``: the whole key space), in ascending group-sort-key
+        order, each tagged with its key. Every pair has exactly one
+        owning shard, so the engine's k-way merge of all shards' streams
+        reconstructs the ``plan=None`` (serial) stream exactly."""
+
     def candidate_pairs(
         self, external: RecordStore, local: RecordStore
     ) -> Iterator[CandidatePair]:
         """Yield (external id, local id) pairs worth comparing."""
+        for _, ext_id, local_id in self.shard_candidate_pairs(external, local):
+            yield ext_id, local_id
 
     def pair_count(self, external: RecordStore, local: RecordStore) -> int:
         """Number of candidate pairs (materializes the iterator)."""
@@ -131,94 +145,40 @@ class BlockingMethod(ABC):
         """
         return None
 
-    # ------------------------------------------------------------------
-    # per-key block iteration (the shard executor's contract)
-    # ------------------------------------------------------------------
-    def supports_sharding(self) -> bool:
-        """Whether this method can decompose candidates by block key.
-
-        True only when the method has an ownership rule that assigns
-        every candidate pair to exactly one shard and a sort key that
-        restores the serial emission order under the engine's k-way
-        merge — the invariants that let :meth:`shard_candidate_pairs`
-        split work without duplicating or reordering pairs. Every
-        registered method honors them; duck-typed doubles that do not
-        keep the default False and the engine degrades ``shard`` to
-        ``process``.
-        """
-        return False
-
     def shard_block_sizes(
         self, external: RecordStore, local: RecordStore
     ) -> Dict[str, int]:
         """Per-block-key size stats for :class:`ShardPlan` balance.
 
-        May be empty (the plan then balances by stable hash alone);
-        must be cheap — standard blocking reads posting lengths off the
-        shared record key index rather than re-deriving keys.
+        May be empty (the default; the plan then balances by stable hash
+        alone); must be cheap — standard blocking reads posting lengths
+        off the shared record key index rather than re-deriving keys.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support sharded candidate generation"
-        )
-
-    def shard_candidate_pairs(
-        self,
-        external: RecordStore,
-        local: RecordStore,
-        plan: "ShardPlan",
-        shard: int,
-    ) -> Iterator[ShardedPair]:
-        """Candidate pairs whose block key *plan* assigns to *shard*.
-
-        Pairs are yielded in ascending group-sort-key order, each
-        tagged with its key, and within one key in exactly the order
-        :meth:`candidate_pairs` would have emitted them — the engine's
-        k-way merge then reconstructs the serial comparison order
-        exactly.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support sharded candidate generation"
-        )
+        return {}
 
 
 class FullIndex(BlockingMethod):
     """No blocking at all: the naive cartesian product ``|S_E| x |S_L|``."""
 
-    def candidate_pairs(
-        self, external: RecordStore, local: RecordStore
-    ) -> Iterator[CandidatePair]:
-        for ext in external.ids():
-            for loc in local.ids():
-                yield ext, loc
-
     def pair_count(self, external: RecordStore, local: RecordStore) -> int:
         """``|S_E| x |S_L|`` directly — no iterator to materialize."""
         return len(external) * len(local)
-
-    def supports_sharding(self) -> bool:
-        return True
-
-    def shard_block_sizes(
-        self, external: RecordStore, local: RecordStore
-    ) -> Dict[str, int]:
-        """Empty: every external record's block is uniformly ``|S_L|``,
-        so stable hashing alone already balances the plan."""
-        return {}
 
     def shard_candidate_pairs(
         self,
         external: RecordStore,
         local: RecordStore,
-        plan: "ShardPlan",
-        shard: int,
+        plan: "ShardPlan | None" = None,
+        shard: int = 0,
     ) -> Iterator[ShardedPair]:
-        # each external record is its own block, keyed by its id
+        """Each external record is its own block, keyed by its id; the
+        plan balances by stable hash alone, since every block is
+        uniformly ``|S_L|``."""
         local_ids = list(local.ids())
         for ordinal, ext in enumerate(external.ids()):
-            if plan.shard_of(str(ext)) != shard:
-                continue
-            for loc in local_ids:
-                yield ordinal, ext, loc
+            if plan is None or plan.shard_of(str(ext)) == shard:
+                for loc in local_ids:
+                    yield ordinal, ext, loc
 
 
 def _prefix_key(field_name: str, length: int, record: Record) -> str:
@@ -274,6 +234,8 @@ class StandardBlocking(BlockingMethod):
         closure would break sharding everywhere fork isn't the start
         method).
         """
+        if length < 1:
+            raise ValueError(f"prefix length must be >= 1, got {length}")
         key = functools.partial(_prefix_key, field_name, length)
         return cls(key, signature=f"prefix:{field_name}:{length}")
 
@@ -299,11 +261,6 @@ class StandardBlocking(BlockingMethod):
     def index_stats(self) -> IndexStats | None:
         return self._last_index_stats
 
-    def supports_sharding(self) -> bool:
-        """Key blocking partitions pairs: one key per external record,
-        every pair inside exactly one block."""
-        return True
-
     def _local_index(self, local: RecordStore) -> RecordKeyIndex:
         """The local store's block index: shared under a cache
         signature, else built for this call alone."""
@@ -326,29 +283,21 @@ class StandardBlocking(BlockingMethod):
         self,
         external: RecordStore,
         local: RecordStore,
-        plan: "ShardPlan",
-        shard: int,
+        plan: "ShardPlan | None" = None,
+        shard: int = 0,
     ) -> Iterator[ShardedPair]:
-        index = self._local_index(local)
-        for ordinal, record in enumerate(external):
-            key = self._key(record)
-            if not key or plan.shard_of(key) != shard:
-                continue
-            for local_id in index.candidates(key):
-                yield ordinal, record.id, local_id
-
-    def candidate_pairs(
-        self, external: RecordStore, local: RecordStore
-    ) -> Iterator[CandidatePair]:
+        """Key blocking partitions pairs: one key per external record,
+        every pair inside exactly one block."""
         index = self._local_index(local)
         probe_seconds = 0.0
-        for record in external:
+        for ordinal, record in enumerate(external):
             started = time.perf_counter()
             key = self._key(record)
-            matches = list(index.candidates(key)) if key else []
+            owned = key and (plan is None or plan.shard_of(key) == shard)
+            matches = list(index.candidates(key)) if owned else []
             probe_seconds += time.perf_counter() - started
             for local_id in matches:
-                yield record.id, local_id
+                yield ordinal, record.id, local_id
         index.probed(probe_seconds)
         # per-run report: one-time build cost, this run's probe time
         self._last_index_stats = dataclasses.replace(
@@ -398,55 +347,33 @@ class SortedNeighbourhood(BlockingMethod):
         tagged.sort(key=lambda entry: (entry[0], str(entry[2])))
         return tagged
 
-    def candidate_pairs(
-        self, external: RecordStore, local: RecordStore
-    ) -> Iterator[CandidatePair]:
-        tagged = self._tagged(external, local)
-        seen: Set[CandidatePair] = set()
-        for start in range(len(tagged)):
-            window = tagged[start:start + self._window]
-            for (_, is_ext_a, id_a), (_, is_ext_b, id_b) in itertools.combinations(window, 2):
-                if is_ext_a == is_ext_b:
-                    continue
-                pair = (id_a, id_b) if is_ext_a else (id_b, id_a)
-                if pair not in seen:
-                    seen.add(pair)
-                    yield pair
-
-    def supports_sharding(self) -> bool:
-        """The sorted order is cut into one contiguous position segment
-        per shard. A window pair is identified by its two sorted
-        positions; the segment containing the *later* position owns it
-        and reaches back ``window-1`` positions (the overlap halo) for
-        pairs that straddle its left boundary — every pair has exactly
-        one later position, so exactly one owner, and the halo pairs
-        are generated once, never twice."""
-        return True
-
-    def shard_block_sizes(
-        self, external: RecordStore, local: RecordStore
-    ) -> Dict[str, int]:
-        """Empty: segments are equal position ranges of the sorted
-        order assigned directly (segment *i* is shard *i*), so there
-        are no block keys for the plan to balance — window load is
-        uniform per position by construction."""
-        return {}
-
     def shard_candidate_pairs(
         self,
         external: RecordStore,
         local: RecordStore,
-        plan: "ShardPlan",
-        shard: int,
+        plan: "ShardPlan | None" = None,
+        shard: int = 0,
     ) -> Iterator[ShardedPair]:
+        """The sorted order is cut into one contiguous position segment
+        per shard (``plan=None`` is a single segment). A window pair is
+        identified by its two sorted positions; the segment containing
+        the *later* position owns it and reaches back ``window-1``
+        positions (the overlap halo) for pairs that straddle its left
+        boundary — every pair has exactly one later position, so
+        exactly one owner, and the halo pairs are generated once, never
+        twice. Segments are equal position ranges assigned directly
+        (segment *i* is shard *i*), so there are no block keys for the
+        plan to balance — window load is uniform per position by
+        construction."""
         # Serial emission order: a position pair (a, b) first appears in
         # the window starting at s = max(0, b - window + 1), and within
         # one start the combinations() sweep runs (a, b)-ascending — so
         # (s, a, b) sorts pairs exactly as the serial sweep yields them.
         tagged = self._tagged(external, local)
         count = len(tagged)
-        lo = count * shard // plan.shards
-        hi = count * (shard + 1) // plan.shards
+        shards = 1 if plan is None else plan.shards
+        lo = count * shard // shards
+        hi = count * (shard + 1) // shards
         owned: List[ShardedPair] = []
         for later in range(lo, hi):
             _, is_ext_b, id_b = tagged[later]
@@ -494,6 +421,8 @@ class QGramBlocking(BlockingMethod):
             raise ValueError(f"threshold must be in (0, 1], got {threshold}")
         if q < 1:
             raise ValueError(f"q must be >= 1, got {q}")
+        if max_grams < 1:
+            raise ValueError(f"max_grams must be >= 1, got {max_grams}")
         self._field = field_name
         self._q = q
         self._threshold = threshold
@@ -532,37 +461,6 @@ class QGramBlocking(BlockingMethod):
         """The local store's shared sub-list index."""
         return shared_record_index(local, self._signature(), self._keys)
 
-    def candidate_pairs(
-        self, external: RecordStore, local: RecordStore
-    ) -> Iterator[CandidatePair]:
-        index = self._local_index(local)
-        seen: Set[CandidatePair] = set()
-        probe_seconds = 0.0
-        for record in external:
-            started = time.perf_counter()
-            fresh: List[CandidatePair] = []
-            for key in self._keys(record):
-                for local_id in index.candidates(key):
-                    pair = (record.id, local_id)
-                    if pair not in seen:
-                        seen.add(pair)
-                        fresh.append(pair)
-            probe_seconds += time.perf_counter() - started
-            yield from fresh
-        index.probed(probe_seconds)
-        # per-run report: one-time build cost, this run's probe time
-        self._last_index_stats = dataclasses.replace(
-            index.stats(), probe_seconds=probe_seconds
-        )
-
-    def supports_sharding(self) -> bool:
-        """Sub-list keys are partitioned by the plan. A pair that
-        co-occurs under several of a record's keys is owned by the
-        *first* sorted key whose posting contains the local record —
-        exactly the occurrence the serial path's dedup set keeps — so
-        every pair is generated by exactly one shard."""
-        return True
-
     def shard_block_sizes(
         self, external: RecordStore, local: RecordStore
     ) -> Dict[str, int]:
@@ -578,32 +476,44 @@ class QGramBlocking(BlockingMethod):
         self,
         external: RecordStore,
         local: RecordStore,
-        plan: "ShardPlan",
-        shard: int,
+        plan: "ShardPlan | None" = None,
+        shard: int = 0,
     ) -> Iterator[ShardedPair]:
+        """Sub-list keys are partitioned by the plan. A pair that
+        co-occurs under several of a record's keys is owned by the
+        *first* sorted key whose posting contains the local record —
+        exactly the occurrence the unsharded dedup set keeps — so
+        every pair is generated by exactly one shard."""
         index = self._local_index(local)
+        probe_seconds = 0.0
         for ordinal, record in enumerate(external):
+            started = time.perf_counter()
             keys = self._keys(record)
-            owned = [
-                position for position, key in enumerate(keys)
-                if plan.shard_of(key) == shard
-            ]
-            if not owned:
-                continue
-            owned_set = set(owned)
+            owned = {
+                key_index for key_index, key in enumerate(keys)
+                if plan is None or plan.shard_of(key) == shard
+            }
             # replay the record's keys up to its last owned one so the
             # dedup set sees every earlier occurrence of a local id,
             # but emit only the fresh pairs of owned keys — the serial
             # seen-set dedup, restated as an ownership rule
+            fresh: List[ShardedPair] = []
             seen: Set[Term] = set()
-            for key_index in range(owned[-1] + 1):
-                fresh_here = key_index in owned_set
+            for key_index in range(max(owned, default=-1) + 1):
+                fresh_here = key_index in owned
                 for local_id in index.candidates(keys[key_index]):
                     if local_id in seen:
                         continue
                     seen.add(local_id)
                     if fresh_here:
-                        yield (ordinal, key_index), record.id, local_id
+                        fresh.append(((ordinal, key_index), record.id, local_id))
+            probe_seconds += time.perf_counter() - started
+            yield from fresh
+        index.probed(probe_seconds)
+        # per-run report: one-time build cost, this run's probe time
+        self._last_index_stats = dataclasses.replace(
+            index.stats(), probe_seconds=probe_seconds
+        )
 
 
 class CanopyBlocking(BlockingMethod):
@@ -631,66 +541,37 @@ class CanopyBlocking(BlockingMethod):
         self._tight = tight
         self._q = q
 
-    def candidate_pairs(
-        self, external: RecordStore, local: RecordStore
-    ) -> Iterator[CandidatePair]:
-        remaining: Dict[Term, str] = {
-            record.id: normalize_value(record.value(self._field)) for record in local
-        }
-        for record in external:
-            value = normalize_value(record.value(self._field))
-            if not value:
-                continue
-            claimed: List[Term] = []
-            for local_id, local_value in remaining.items():
-                sim = qgram_cosine_similarity(value, local_value, q=self._q)
-                if sim >= self._loose:
-                    yield record.id, local_id
-                    if sim >= self._tight:
-                        claimed.append(local_id)
-            for local_id in claimed:
-                del remaining[local_id]
-
-    def supports_sharding(self) -> bool:
-        """Shards own *local* records. In the serial sweep a local
-        leaves circulation right after the *first* center within
-        ``tight`` similarity has scanned it — an event that depends
-        only on that local's own similarities, never on another local's
-        removal — so a worker owning a local can replay its whole
-        serial life: scan the centers in ordinal order, emit every
-        ``loose`` pair, stop at the first ``tight`` one. The work of
-        the serial sweep is partitioned exactly (no extra similarity
-        is ever computed) and every pair is emitted by exactly the one
-        worker owning its local record."""
-        return True
-
-    def shard_block_sizes(
-        self, external: RecordStore, local: RecordStore
-    ) -> Dict[str, int]:
-        """Empty — per-local work is unknown until the sims are
-        computed (an early-claimed local is cheap), so locals balance
-        by stable hash of their id."""
-        return {}
-
     def shard_candidate_pairs(
         self,
         external: RecordStore,
         local: RecordStore,
-        plan: "ShardPlan",
-        shard: int,
+        plan: "ShardPlan | None" = None,
+        shard: int = 0,
     ) -> Iterator[ShardedPair]:
-        # Serial emission order is center-major: center ordinal, then
-        # local store order within the center's canopy (dict iteration
-        # order survives deletions), so (ordinal, local position) sorts
-        # pairs exactly as the serial sweep yields them — and the key
-        # is unique per pair, trivially owned by its local's shard.
+        """Shards own *local* records. In the center-major canopy sweep
+        a local leaves circulation right after the *first* center within
+        ``tight`` similarity has scanned it — an event that depends
+        only on that local's own similarities, never on another local's
+        removal — so a worker owning a local can replay its whole
+        life: scan the centers in ordinal order, emit every ``loose``
+        pair, stop at the first ``tight`` one. The work of the sweep
+        is partitioned exactly (no extra similarity is ever computed)
+        and every pair is emitted by exactly the one worker owning its
+        local record. Per-local work is unknown until the sims are
+        computed (an early-claimed local is cheap), so locals balance
+        by stable hash of their id."""
+        # The sweep's emission order is center-major: center ordinal,
+        # then local store order within the center's canopy, so
+        # (ordinal, local position) sorts pairs exactly as the sweep
+        # yields them — and the key is unique per pair, trivially owned
+        # by its local's shard.
         centers = [
             (ordinal, record.id, normalize_value(record.value(self._field)))
             for ordinal, record in enumerate(external)
         ]
         owned: List[ShardedPair] = []
         for position, record in enumerate(local):
-            if plan.shard_of(str(record.id)) != shard:
+            if plan is not None and plan.shard_of(str(record.id)) != shard:
                 continue
             local_value = normalize_value(record.value(self._field))
             for ordinal, ext_id, value in centers:
@@ -734,69 +615,30 @@ class RuleBasedBlocking(BlockingMethod):
     def index_stats(self) -> IndexStats | None:
         return self._last_index_stats
 
-    def supports_sharding(self) -> bool:
-        """Each external record is its own block (its predicted-class
-        candidate set), so blocks partition the pair space; predictions
-        are per-item, so a worker classifying only its own externals
-        predicts exactly what a whole-batch run would."""
-        return True
-
-    def shard_block_sizes(
-        self, external: RecordStore, local: RecordStore
-    ) -> Dict[str, int]:
-        """Empty: block sizes would cost a classification pass in the
-        parent, which is exactly the work sharding moves in-worker —
-        stable hashing of the external ids balances well enough."""
-        return {}
-
     def shard_candidate_pairs(
         self,
         external: RecordStore,
         local: RecordStore,
-        plan: "ShardPlan",
-        shard: int,
+        plan: "ShardPlan | None" = None,
+        shard: int = 0,
     ) -> Iterator[ShardedPair]:
+        """Each external record is its own block (its predicted-class
+        candidate set), so blocks partition the pair space; predictions
+        are per-item, so a worker classifying only its own externals
+        predicts exactly what a whole-batch run would. Block sizes
+        would cost a classification pass in the parent, which is
+        exactly the work sharding moves in-worker — stable hashing of
+        the external ids balances well enough."""
         mine = [
             (ordinal, ext_id)
             for ordinal, ext_id in enumerate(external.ids())
-            if plan.shard_of(str(ext_id)) == shard
+            if plan is None or plan.shard_of(str(ext_id)) == shard
         ]
         self._classifier.build_probe_table()
+        started = time.perf_counter()
         predictions = self._classifier.predict_many(
             [ext_id for _, ext_id in mine], self._graph
         )
-        subspace = LinkingSubspace.from_predictions(predictions, self._ontology)
-        local_order = list(local.ids())
-        local_ids = set(local_order)
-        for ordinal, ext_id in mine:
-            for local_id in self._candidates_of(
-                ext_id, subspace, local_order, local_ids
-            ):
-                yield ordinal, ext_id, local_id
-
-    def _candidates_of(
-        self,
-        ext_id: Term,
-        subspace: LinkingSubspace,
-        local_order: List[Term],
-        local_ids: Set[Term],
-    ) -> Iterator[Term]:
-        """One external record's candidates, in the deterministic
-        emission order shared by the serial and sharded paths."""
-        candidates = subspace.candidates_for(ext_id)
-        if not candidates and self._fallback_full:
-            yield from local_order
-            return
-        matching = [c for c in candidates if c in local_ids]
-        matching.sort(key=str)
-        yield from matching
-
-    def candidate_pairs(
-        self, external: RecordStore, local: RecordStore
-    ) -> Iterator[CandidatePair]:
-        self._classifier.build_probe_table()
-        started = time.perf_counter()
-        predictions = self._classifier.predict_many(list(external.ids()), self._graph)
         probe_seconds = time.perf_counter() - started
         self._last_index_stats = self._classifier.probe_index_stats(probe_seconds)
         subspace = LinkingSubspace.from_predictions(predictions, self._ontology)
@@ -806,8 +648,12 @@ class RuleBasedBlocking(BlockingMethod):
         # store order (fallback) / sorted ids keep runs byte-identical
         local_order = list(local.ids())
         local_ids = set(local_order)
-        for ext_id in external.ids():
-            for candidate in self._candidates_of(
-                ext_id, subspace, local_order, local_ids
-            ):
-                yield ext_id, candidate
+        for ordinal, ext_id in mine:
+            candidates = subspace.candidates_for(ext_id)
+            if not candidates and self._fallback_full:
+                matching = local_order
+            else:
+                matching = [c for c in candidates if c in local_ids]
+                matching.sort(key=str)
+            for local_id in matching:
+                yield ordinal, ext_id, local_id

@@ -15,14 +15,17 @@ blocking method as a post-filter.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import TYPE_CHECKING, Dict, Iterator
 
-from repro.linking.blocking import BlockingMethod, CandidatePair, FullIndex
+from repro.linking.blocking import BlockingMethod, FullIndex, ShardedPair
 from repro.linking.records import RecordStore
 from repro.ontology.model import Ontology
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import RDF
 from repro.rdf.terms import IRI, Term
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (engine imports us)
+    from repro.engine.shard import ShardPlan
 
 
 class DisjointnessFiltering(BlockingMethod):
@@ -56,12 +59,26 @@ class DisjointnessFiltering(BlockingMethod):
         )
         return classes
 
-    def candidate_pairs(
+    def shard_block_sizes(
         self, external: RecordStore, local: RecordStore
-    ) -> Iterator[CandidatePair]:
+    ) -> Dict[str, int]:
+        return self._inner.shard_block_sizes(external, local)
+
+    def shard_candidate_pairs(
+        self,
+        external: RecordStore,
+        local: RecordStore,
+        plan: "ShardPlan | None" = None,
+        shard: int = 0,
+    ) -> Iterator[ShardedPair]:
+        """The inner method's tagged stream, filtered: pruning drops
+        pairs and never moves one, so the inner ownership rule and group
+        keys carry over unchanged."""
         classes_cache: Dict[Term, frozenset[IRI]] = {}
         local_classes_cache: Dict[Term, frozenset[IRI]] = {}
-        for ext_id, local_id in self._inner.candidate_pairs(external, local):
+        for key, ext_id, local_id in self._inner.shard_candidate_pairs(
+            external, local, plan, shard
+        ):
             ext_classes = classes_cache.get(ext_id)
             if ext_classes is None:
                 ext_classes = self._external_classes(ext_id)
@@ -69,14 +86,14 @@ class DisjointnessFiltering(BlockingMethod):
             if not ext_classes:
                 # untyped external item: the filter cannot apply; the
                 # pair survives (no information = no pruning)
-                yield ext_id, local_id
+                yield key, ext_id, local_id
                 continue
             local_classes = local_classes_cache.get(local_id)
             if local_classes is None:
                 local_classes = self._ontology.classes_of(local_id)
                 local_classes_cache[local_id] = local_classes
             if self._pair_is_consistent(ext_classes, local_classes):
-                yield ext_id, local_id
+                yield key, ext_id, local_id
 
     def _pair_is_consistent(
         self, ext_classes: frozenset[IRI], local_classes: frozenset[IRI]

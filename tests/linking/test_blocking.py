@@ -70,6 +70,11 @@ class TestStandardBlocking:
         # keys: e1->'5', e2->'0', e3->'1'; l1->'6', l2->'1', l3->'9'
         assert pairs == {(EX.e3, EX.l2)}
 
+    @pytest.mark.parametrize("length", (0, -1))
+    def test_prefix_length_validation(self, length):
+        with pytest.raises(ValueError, match=f"got {length}"):
+            StandardBlocking.on_field_prefix("pn", length=length)
+
 
 class TestSortedNeighbourhood:
     def test_window_pairs_nearby_keys(self, external, local):
@@ -141,6 +146,8 @@ class TestQGramBlocking:
             QGramBlocking("pn", threshold=0.0)
         with pytest.raises(ValueError):
             QGramBlocking("pn", q=0)
+        with pytest.raises(ValueError, match="max_grams must be >= 1, got 0"):
+            QGramBlocking("pn", max_grams=0)
 
     def test_empty_values_no_pairs(self):
         ext = store(("e1", ""))

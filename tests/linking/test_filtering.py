@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.linking import DisjointnessFiltering, Record, RecordStore, StandardBlocking
+from repro.engine import JobConfig, LinkingJob
+from repro.linking import (
+    DisjointnessFiltering,
+    FieldComparator,
+    Record,
+    RecordComparator,
+    RecordStore,
+    StandardBlocking,
+    ThresholdMatcher,
+)
 from repro.linking.blocking import FullIndex
 from repro.ontology import Ontology
 from repro.rdf import EX, Graph, RDF, Triple
@@ -95,3 +104,44 @@ class TestDisjointnessFiltering:
     def test_default_inner_is_full_index(self, ontology):
         filtering = DisjointnessFiltering(ontology, Graph())
         assert isinstance(filtering._inner, FullIndex)
+
+    def test_shards_like_its_inner_method(self, ontology):
+        """The filter keeps the inner method's group keys, so a shard
+        run is byte-identical to the serial one and never degrades."""
+        typing = Graph(
+            [
+                Triple(EX.e0, RDF.type, EX.Resistor),
+                Triple(EX.e1, RDF.type, EX.Diode),
+                Triple(EX.e3, RDF.type, EX.Resistor),
+            ]
+        )
+        external = RecordStore(
+            Record(id=EX[f"e{i}"], fields={"pn": (pn,)})
+            for i, pn in enumerate(("crcw-10k", "crcw-22k", "t83-220", "crcw-10r"))
+        )
+        local = RecordStore(
+            Record(id=EX[name], fields={"pn": (pn,)})
+            for name, pn in (
+                ("l1", "crcw-10k"), ("l2", "crcw-22k"), ("l3", "t83-220"),
+                ("l4", "crcw-10r"),
+            )
+        )
+        filtering = DisjointnessFiltering(
+            ontology, typing, inner=StandardBlocking.on_field_prefix("pn", 3)
+        )
+        comparator = RecordComparator([FieldComparator("pn")])
+        matcher = ThresholdMatcher(0.9)
+        serial = LinkingJob(
+            filtering, comparator, matcher, JobConfig(executor="serial")
+        ).run(external, local)
+        shard = LinkingJob(
+            filtering, comparator, matcher, JobConfig(executor="shard", workers=2)
+        ).run(external, local)
+        assert shard.stats.executor == "shard"
+        assert shard.stats.fallback_reason is None
+        # e0 (Resistor) loses l2 (Diode), e1 (Diode) loses l1 (Resistor)
+        assert (EX.e0, EX.l2) not in serial.candidate_pairs
+        assert (EX.e1, EX.l1) not in serial.candidate_pairs
+        assert shard.candidate_pairs == serial.candidate_pairs
+        assert shard.matches == serial.matches
+        assert serial.matches

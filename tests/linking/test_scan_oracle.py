@@ -1,21 +1,25 @@
-"""Differential tests: every index-backed blocking class against its scan oracle.
+"""Differential tests: every blocking family against its scan oracle.
 
 ``tests/oracles/blocking.py`` keeps the scan implementations the
 shipped classes replaced: a fresh key -> ids dict per run instead of a
-:class:`~repro.index.RecordKeyIndex`, and one ``predict`` per record
-instead of the batched rule index. Every comparison here is exact
-``==`` on the emitted sequence, so order counts, not just the pair set:
+:class:`~repro.index.RecordKeyIndex`, one ``predict`` per record
+instead of the batched rule index, and the straight serial sweeps of
+the full index, sorted neighbourhood and canopy. Every comparison here
+is exact ``==`` on the emitted sequence, so order counts, not just the
+pair set:
 
 * ``candidate_pairs`` of each class equals the oracle's sequence;
 * the ``shard_candidate_pairs`` streams of every shard, merged on their
   group keys, equal the same sequence.
 
-Classes: prefix blocking (shared index), standard blocking on unsigned
-keys (private per-run index), q-gram blocking over several ``q`` /
-threshold / ``max_grams`` settings, and rule-based blocking with
-``fallback_full`` both ways. Stores are random over a small vocabulary
-so keys collide, records share several q-gram keys (the dedup path) and
-empty values occur.
+Families: the full index; prefix blocking (shared index) and standard
+blocking on unsigned keys (private per-run index); sorted neighbourhood
+over window sizes 2-6; q-gram blocking over several ``q`` / threshold /
+``max_grams`` settings; canopy blocking over ``loose`` / ``tight``
+pairs (equal ones and ``tight == 1.0`` included) and ``q`` 1-3; and
+rule-based blocking with ``fallback_full`` both ways. Stores are random
+over a small vocabulary so keys collide, records share several q-gram
+keys (the dedup path), canopies overlap and empty values occur.
 """
 
 import functools
@@ -27,10 +31,13 @@ from hypothesis import strategies as st
 from repro.core import LearnerConfig, RuleClassifier, RuleLearner, SameAsLink, TrainingSet
 from repro.engine.shard import ShardPlan
 from repro.linking import (
+    CanopyBlocking,
+    FullIndex,
     QGramBlocking,
     Record,
     RecordStore,
     RuleBasedBlocking,
+    SortedNeighbourhood,
     StandardBlocking,
 )
 from repro.ontology import Ontology
@@ -67,6 +74,14 @@ def assert_matches_oracle(blocking, external, local, expected):
         ]
         merged = heapq.merge(*streams, key=lambda entry: entry[0])
         assert [(ext, loc) for _, ext, loc in merged] == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(external=record_stores("e"), local=record_stores("l"))
+def test_full_index_equals_scan(external, local):
+    assert_matches_oracle(
+        FullIndex(), external, local, oracle.full_index_pairs(external, local)
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -126,6 +141,43 @@ def test_qgram_blocking_equals_scan(external, local, q, threshold, max_grams):
         oracle.key_blocking_pairs(
             oracle.qgram_keys("pn", q, threshold, max_grams), external, local
         ),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    external=record_stores("e"),
+    local=record_stores("l"),
+    window=st.integers(min_value=2, max_value=6),
+)
+def test_sorted_neighbourhood_equals_scan(external, local, window):
+    assert_matches_oracle(
+        SortedNeighbourhood.on_field("pn", window_size=window),
+        external,
+        local,
+        oracle.sorted_neighbourhood_pairs("pn", window, external, local),
+    )
+
+
+#: Canopy thresholds: any two, sorted, give a valid (loose, tight) pair —
+#: equal pairs and ``tight == 1.0`` included.
+CANOPY_THRESHOLDS = st.sampled_from((0.0, 0.2, 0.4, 0.5, 0.7, 0.9, 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    external=record_stores("e"),
+    local=record_stores("l"),
+    thresholds=st.tuples(CANOPY_THRESHOLDS, CANOPY_THRESHOLDS).map(sorted),
+    q=st.integers(min_value=1, max_value=3),
+)
+def test_canopy_blocking_equals_scan(external, local, thresholds, q):
+    loose, tight = thresholds
+    assert_matches_oracle(
+        CanopyBlocking("pn", loose=loose, tight=tight, q=q),
+        external,
+        local,
+        oracle.canopy_pairs("pn", loose, tight, q, external, local),
     )
 
 
