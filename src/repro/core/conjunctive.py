@@ -8,8 +8,11 @@ extension joins frequent segments into two-segment premises::
 A part-number segment like "100" is worthless alone but, together with
 "ohm", pins the class down. The learner below:
 
-1. reuses Algorithm 1's frequent (property, segment) pass;
-2. Apriori-joins segment pairs that co-occur in enough linked values;
+1. reads Algorithm 1's frequent (property, segment) pairs, frequent
+   classes and single-segment conjunction counts from the same
+   :class:`~repro.index.TrainingFeatureIndex` every learner reads;
+2. Apriori-joins segment pairs that co-occur in enough linked values
+   (its own pass: the index keeps per-link, not per-value, segments);
 3. emits a conjunctive rule only when it *improves* on its best
    component rule (a CBA-style pruning: a conjunction that is no more
    confident than its parts only narrows coverage for nothing).
@@ -20,11 +23,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Dict, FrozenSet, List, Tuple
+from typing import FrozenSet, List, Tuple
 
 from repro.core.learner import LearnerConfig
 from repro.core.measures import ContingencyCounts, RuleQualityMeasures
 from repro.core.training import TrainingSet
+from repro.index import TrainingFeatureIndex
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Term
 from repro.text.segmentation import SegmentFunction
@@ -92,59 +96,28 @@ class ConjunctiveRuleLearner:
     def learn(self, training_set: TrainingSet) -> List[ConjunctiveRule]:
         """Return the improving two-segment rules, best first."""
         config = self.config
-        examples = training_set.examples(
-            list(config.properties) if config.properties is not None else None
-        )
-        total = len(examples)
+        examples = training_set.examples(config.properties)
+        index = TrainingFeatureIndex.from_examples(examples, config.segmenter)
+        total = index.rows
         min_count = config.min_count(total)
+        pair_counts = index.frequent_pairs(min_count)
+        class_counts = index.frequent_classes(min_count)
+        # single-rule counts, for the improvement check
+        single_both = index.conjunction_counts(pair_counts.keys(), set(class_counts))
 
-        # per-link segment sets per property (set semantics, as in Alg. 1),
-        # kept per *value* so conjunctions require co-occurrence in one value
-        per_link: List[Dict[IRI, List[FrozenSet[str]]]] = []
-        pair_counts: Counter[Tuple[IRI, str]] = Counter()
-        class_counts: Counter[IRI] = Counter()
-        for example in examples:
-            row: Dict[IRI, List[FrozenSet[str]]] = {}
-            for prop, values in example.property_values.items():
-                value_sets = [frozenset(config.segmenter(v)) for v in values]
-                value_sets = [s for s in value_sets if s]
-                if value_sets:
-                    row[prop] = value_sets
-                    for segment in frozenset().union(*value_sets):
-                        pair_counts[(prop, segment)] += 1
-            per_link.append(row)
-            for cls in example.classes:
-                class_counts[cls] += 1
-
-        frequent_single = {
-            pair for pair, count in pair_counts.items() if count >= min_count
-        }
-        frequent_classes = {
-            cls for cls, count in class_counts.items() if count >= min_count
-        }
-
-        # single-rule confidences, for the improvement check
-        single_both: Counter[Tuple[IRI, str, IRI]] = Counter()
+        # pairs must co-occur within one value (set semantics per link)
         duo_premise: Counter[Tuple[IRI, str, str]] = Counter()
         duo_both: Counter[Tuple[IRI, str, str, IRI]] = Counter()
-        for example, row in zip(examples, per_link):
-            classes = example.classes & frequent_classes
-            for prop, value_sets in row.items():
-                all_segments = frozenset().union(*value_sets)
-                kept = [
-                    s for s in all_segments if (prop, s) in frequent_single
-                ]
-                for segment in kept:
-                    for cls in classes:
-                        single_both[(prop, segment, cls)] += 1
-                # pairs must co-occur within one value
+        for example in examples:
+            classes = [cls for cls in example.classes if cls in class_counts]
+            for prop, values in example.property_values.items():
                 seen_duos: set[Tuple[str, str]] = set()
-                for value_set in value_sets:
+                for value in values:
                     in_value = sorted(
-                        s for s in value_set if (prop, s) in frequent_single
+                        s for s in set(config.segmenter(value))
+                        if (prop, s) in pair_counts
                     )
-                    for a, b in combinations(in_value, 2):
-                        seen_duos.add((a, b))
+                    seen_duos.update(combinations(in_value, 2))
                 for a, b in seen_duos:
                     duo_premise[(prop, a, b)] += 1
                     for cls in classes:
@@ -156,8 +129,8 @@ class ConjunctiveRuleLearner:
                 continue
             premise = duo_premise[(prop, a, b)]
             single_conf = max(
-                single_both[(prop, a, cls)] / pair_counts[(prop, a)],
-                single_both[(prop, b, cls)] / pair_counts[(prop, b)],
+                single_both.get((prop, a, cls), 0) / pair_counts[(prop, a)],
+                single_both.get((prop, b, cls), 0) / pair_counts[(prop, b)],
             )
             confidence = both / premise
             if confidence < single_conf + self.min_confidence_gain:

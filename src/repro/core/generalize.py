@@ -13,17 +13,25 @@ the least common subsumer and recompute the measures there: confidence
 can only grow (the premise set is unchanged, the conclusion set is a
 superset) while lift shrinks with class breadth — the paper's own
 precision/reduction trade-off, climbing the hierarchy.
+
+The lifted counts come from the same
+:class:`~repro.index.TrainingFeatureIndex` every learner reads, built
+once per :meth:`RuleGeneralizer.generalize` call: the premise is
+``|post(p, a)|``, the conclusion the union of the class postings below
+the target, ``both`` their intersection.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from functools import reduce
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.measures import ContingencyCounts, RuleQualityMeasures
 from repro.core.rules import ClassificationRule, RuleSet, rule_order_key
 from repro.core.training import TrainingSet
+from repro.index import PostingList, TrainingFeatureIndex
 from repro.ontology.model import Ontology
 from repro.rdf.terms import IRI
 from repro.text.segmentation import SegmentFunction, SeparatorSegmenter
@@ -85,6 +93,10 @@ class RuleGeneralizer:
         groups: Dict[Tuple[IRI, str], List[ClassificationRule]] = defaultdict(list)
         for rule in rules:
             groups[(rule.property, rule.segment)].append(rule)
+        properties = sorted({prop for prop, _ in groups}, key=lambda p: p.value)
+        index = TrainingFeatureIndex.from_examples(
+            training_set.examples(properties), self._segmenter
+        )
 
         lifted: List[GeneralizedRule] = []
         for (prop, segment), members in groups.items():
@@ -97,9 +109,7 @@ class RuleGeneralizer:
                 continue
             if self._exceeds_depth_budget(target, members):
                 continue
-            generalized = self._rebuild_rule(
-                prop, segment, target, training_set
-            )
+            generalized = self._lifted_rule(index, prop, segment, target)
             if generalized is None:
                 continue
             best_source_confidence = max(r.confidence for r in members)
@@ -140,12 +150,8 @@ class RuleGeneralizer:
         deepest_source = max(hierarchy.depth(r.conclusion) for r in members)
         return deepest_source - hierarchy.depth(target) > self._max_depth_lift
 
-    def _rebuild_rule(
-        self,
-        prop: IRI,
-        segment: str,
-        target: IRI,
-        training_set: TrainingSet,
+    def _lifted_rule(
+        self, index: TrainingFeatureIndex, prop: IRI, segment: str, target: IRI
     ) -> ClassificationRule | None:
         """Recount the contingency table with ``c(X)`` = descendant-or-self.
 
@@ -153,29 +159,16 @@ class RuleGeneralizer:
         subsumption closure: a link whose most-specific class is a leaf
         below *target* satisfies the generalized conclusion.
         """
-        hierarchy = self._ontology.hierarchy
-        below = hierarchy.descendants(target) | {target}
-        examples = training_set.examples([prop])
-        total = len(examples)
-        premise = 0
-        conclusion = 0
-        both = 0
-        for example in examples:
-            values = example.property_values.get(prop, ())
-            has_premise = any(
-                segment in self._segmenter(value) for value in values
-            )
-            in_class = bool(example.classes & below)
-            if has_premise:
-                premise += 1
-            if in_class:
-                conclusion += 1
-            if has_premise and in_class:
-                both += 1
-        if premise == 0 or both == 0:
+        below = self._ontology.hierarchy.descendants(target) | {target}
+        premise = index.pairs.posting((prop, segment))
+        conclusion = reduce(
+            PostingList.union, (index.classes.posting(c) for c in below), PostingList()
+        )
+        both = premise.intersection_count(conclusion)
+        if both == 0:
             return None
         counts = ContingencyCounts(
-            both=both, premise=premise, conclusion=conclusion, total=total
+            both=both, premise=len(premise), conclusion=len(conclusion), total=index.rows
         )
         return ClassificationRule(
             property=prop,

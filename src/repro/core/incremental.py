@@ -6,22 +6,21 @@ scratch on every batch is wasteful: all its state is one shared
 :class:`~repro.index.TrainingFeatureIndex`. :class:`IncrementalRuleLearner`
 grows that index under :meth:`add_links` (each new link appends its row
 to the relevant posting lists — O(1) per feature) and re-emits the rule
-set on demand from posting probes; feeding it the same links in any
-batch split yields exactly the batch learner's output.
+set on demand through the batch learner's own
+:func:`~repro.core.learner.rules_from_index`; feeding it the same links
+in any batch split yields exactly the batch learner's output.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Iterable
 
-from repro.core.learner import LearnerConfig, LearningStatistics
-from repro.core.measures import ContingencyCounts, RuleQualityMeasures
-from repro.core.rules import ClassificationRule, RuleSet
-from repro.core.training import SameAsLink, TrainingSet
+from repro.core.learner import LearnerConfig, LearningStatistics, rules_from_index
+from repro.core.rules import RuleSet
+from repro.core.training import SameAsLink, TrainingSet, join_link
 from repro.index import TrainingFeatureIndex
 from repro.ontology.model import Ontology
 from repro.rdf.graph import Graph
-from repro.rdf.terms import IRI
 
 
 class IncrementalRuleLearner:
@@ -72,13 +71,8 @@ class IncrementalRuleLearner:
                 continue
             self._seen.add(link)
             added += 1
-            property_values: Dict[IRI, tuple[str, ...]] = {}
-            for prop in self.config.properties:
-                values = tuple(external.literal_values(link.external, prop))
-                if values:
-                    property_values[prop] = values
-            classes = self._ontology.most_specific_classes_of(link.local)
-            self._index.ingest(property_values, classes)
+            example = join_link(link, self.config.properties, external, self._ontology)
+            self._index.ingest(example.property_values, example.classes)
         return added
 
     def add_training_set(self, training_set: TrainingSet) -> int:
@@ -138,48 +132,8 @@ class IncrementalRuleLearner:
     # ------------------------------------------------------------------
     def rules(self) -> RuleSet:
         """The current rule set under the configured threshold."""
-        index = self._index
-        if index.rows == 0:
-            return RuleSet()
-        min_count = self.config.min_count(index.rows)
-        pair_counts = index.frequent_pairs(min_count)
-        class_counts = index.frequent_classes(min_count)
-        conjunction_counts = index.conjunction_counts(
-            pair_counts.keys(), set(class_counts.keys())
-        )
-        rules: List[ClassificationRule] = []
-        for (prop, segment, cls), both in conjunction_counts.items():
-            if both < min_count:
-                continue
-            counts = ContingencyCounts(
-                both=both,
-                premise=pair_counts[(prop, segment)],
-                conclusion=class_counts[cls],
-                total=index.rows,
-            )
-            rules.append(
-                ClassificationRule(
-                    property=prop,
-                    segment=segment,
-                    conclusion=cls,
-                    measures=RuleQualityMeasures.from_counts(counts),
-                    counts=counts,
-                )
-            )
-        return RuleSet(rules)
+        return rules_from_index(self._index, self.config)[0]
 
     def statistics(self) -> LearningStatistics:
         """Index snapshot in the batch learner's statistics shape."""
-        index = self._index
-        min_count = self.config.min_count(index.rows)
-        pair_counts = index.frequent_pairs(min_count)
-        selected_segments = {segment for _, segment in pair_counts}
-        return LearningStatistics(
-            total_links=index.rows,
-            distinct_segments=index.distinct_segments(),
-            segment_occurrences=index.segment_occurrences(),
-            selected_segment_occurrences=index.selected_occurrences(selected_segments),
-            frequent_pairs=len(pair_counts),
-            frequent_classes=len(index.frequent_classes(min_count)),
-            rule_count=len(self.rules()),
-        )
+        return rules_from_index(self._index, self.config)[1]

@@ -16,16 +16,17 @@ Frequencies count *training links* (not value occurrences): a segment
 appearing twice in one part-number still counts once for that link,
 matching the set semantics of ``{X | p(X,Y) ∧ subsegment(Y,a)}``.
 
-The passes run against a shared
-:class:`~repro.index.TrainingFeatureIndex`: pass 1 and 2 read posting
-lengths, pass 3 is the posting intersection
-``freq(p ∧ a ∧ c) = |post(p, a) ∩ post(c)|``. :meth:`RuleLearner.learn`
-builds the index when none is supplied; callers relearning under
-several thresholds (sweeps, benchmarks) build it once via
-:meth:`RuleLearner.build_index` and amortize pass 0 away. The original
-Counter-based passes live on only as the test oracle
-``tests/oracles/learner.py``; the equivalence tests assert both emit
-identical rule sets and statistics.
+Every learner reads one :class:`~repro.index.TrainingFeatureIndex`:
+pass 1 and 2 read posting lengths, pass 3 is the posting intersection
+``freq(p ∧ a ∧ c) = |post(p, a) ∩ post(c)|``. :func:`rules_from_index`
+is the only code that turns those counts into rules and statistics;
+:class:`RuleLearner` (batch) and
+:class:`~repro.core.incremental.IncrementalRuleLearner` (grown index)
+both call it. :meth:`RuleLearner.learn` builds the index when none is
+supplied; callers relearning under several thresholds (sweeps,
+benchmarks) build it once via :meth:`RuleLearner.build_index` and
+amortize pass 0 away. The original Counter-based passes live on only as
+the test oracle ``tests/oracles/learner.py``.
 """
 
 from __future__ import annotations
@@ -75,15 +76,27 @@ class LearnerConfig:
     def min_count(self, total: int) -> int:
         """Translate the fractional ``th`` into a link-count threshold.
 
-        Strict semantics: frequency > th, i.e. count/total > th, i.e.
-        count >= floor(th * total) + 1. With the paper's numbers
-        (th=0.002, |TS|=10265) this gives count >= 21 — matching "68
-        selected classes have more than 20 instances".
+        The smallest ``count >= 1`` with ``count/total > th`` (``>=``
+        when not strict), decided by that float comparison itself: the
+        candidate read off ``th * total`` is stepped until it holds, so
+        a rounded product (``0.29 * 100 = 28.999…``) cannot shift it.
+        With the paper's numbers (th=0.002, |TS|=10265) this gives
+        count >= 21 — matching "68 selected classes have more than 20
+        instances".
         """
-        threshold = self.support_threshold * total
-        if self.strict_threshold:
-            return int(math.floor(threshold)) + 1
-        return max(1, int(math.ceil(threshold)))
+        if total < 1:
+            return 1  # an empty TS has no counts to threshold
+        th, strict = self.support_threshold, self.strict_threshold
+
+        def passes(count: int) -> bool:
+            return count / total > th if strict else count / total >= th
+
+        count = max(1, math.floor(th * total))
+        while count > 1 and passes(count - 1):
+            count -= 1
+        while not passes(count):
+            count += 1
+        return count
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,11 +152,8 @@ class RuleLearner:
         times (e.g. across a support-threshold sweep); only the cheap
         posting probes rerun.
         """
-        config = self.config
-        examples = training_set.examples(
-            list(config.properties) if config.properties is not None else None
-        )
-        return TrainingFeatureIndex.from_examples(examples, config.segmenter)
+        examples = training_set.examples(self.config.properties)
+        return TrainingFeatureIndex.from_examples(examples, self.config.segmenter)
 
     def learn(
         self,
@@ -157,47 +167,53 @@ class RuleLearner:
         """
         if index is None:
             index = self.build_index(training_set)
-        total = index.rows
-        min_count = self.config.min_count(total)
+        rules, self._statistics = rules_from_index(index, self.config)
+        return rules
 
-        # Pass 1: frequent (property, segment) pairs = long-enough postings.
-        pair_counts = index.frequent_pairs(min_count)
 
-        # Pass 2: frequent most-specific classes.
-        class_counts = index.frequent_classes(min_count)
+def rules_from_index(
+    index: TrainingFeatureIndex, config: LearnerConfig
+) -> Tuple[RuleSet, LearningStatistics]:
+    """Algorithm 1's three passes over *index*: the rules and what they saw."""
+    total = index.rows
+    min_count = config.min_count(total)
 
-        # Pass 3: conjunction frequencies |post(p,a) ∩ post(c)| -> rules.
-        conjunction_counts = index.conjunction_counts(
-            pair_counts.keys(), set(class_counts.keys())
+    # Pass 1: frequent (property, segment) pairs = long-enough postings.
+    pair_counts = index.frequent_pairs(min_count)
+
+    # Pass 2: frequent most-specific classes.
+    class_counts = index.frequent_classes(min_count)
+
+    # Pass 3: conjunction frequencies |post(p,a) ∩ post(c)| -> rules.
+    conjunction_counts = index.conjunction_counts(pair_counts.keys(), set(class_counts))
+    rules: List[ClassificationRule] = []
+    for (prop, segment, cls), both in conjunction_counts.items():
+        if both < min_count:
+            continue
+        counts = ContingencyCounts(
+            both=both,
+            premise=pair_counts[(prop, segment)],
+            conclusion=class_counts[cls],
+            total=total,
         )
-        rules: List[ClassificationRule] = []
-        for (prop, segment, cls), both in conjunction_counts.items():
-            if both < min_count:
-                continue
-            counts = ContingencyCounts(
-                both=both,
-                premise=pair_counts[(prop, segment)],
-                conclusion=class_counts[cls],
-                total=total,
+        rules.append(
+            ClassificationRule(
+                property=prop,
+                segment=segment,
+                conclusion=cls,
+                measures=RuleQualityMeasures.from_counts(counts),
+                counts=counts,
             )
-            rules.append(
-                ClassificationRule(
-                    property=prop,
-                    segment=segment,
-                    conclusion=cls,
-                    measures=RuleQualityMeasures.from_counts(counts),
-                    counts=counts,
-                )
-            )
-
-        selected_segments = {segment for _, segment in pair_counts}
-        self._statistics = LearningStatistics(
-            total_links=total,
-            distinct_segments=index.distinct_segments(),
-            segment_occurrences=index.segment_occurrences(),
-            selected_segment_occurrences=index.selected_occurrences(selected_segments),
-            frequent_pairs=len(pair_counts),
-            frequent_classes=len(class_counts),
-            rule_count=len(rules),
         )
-        return RuleSet(rules)
+
+    selected_segments = {segment for _, segment in pair_counts}
+    statistics = LearningStatistics(
+        total_links=total,
+        distinct_segments=index.distinct_segments(),
+        segment_occurrences=index.segment_occurrences(),
+        selected_segment_occurrences=index.selected_occurrences(selected_segments),
+        frequent_pairs=len(pair_counts),
+        frequent_classes=len(class_counts),
+        rule_count=len(rules),
+    )
+    return RuleSet(rules), statistics

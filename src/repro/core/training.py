@@ -51,6 +51,25 @@ class TrainingExample:
     classes: FrozenSet[IRI]
 
 
+def join_link(
+    link: SameAsLink,
+    properties: Sequence[IRI],
+    external: Graph,
+    ontology: Ontology,
+) -> TrainingExample:
+    """One link's learning view: its external values and local classes."""
+    values: Dict[IRI, tuple[str, ...]] = {}
+    for prop in properties:
+        literals = external.literal_values(link.external, prop)
+        if literals:
+            values[prop] = tuple(literals)
+    return TrainingExample(
+        link=link,
+        property_values=values,
+        classes=ontology.most_specific_classes_of(link.local),
+    )
+
+
 class TrainingSet:
     """The set ``TS`` plus the graphs/ontology required to interpret it.
 
@@ -162,18 +181,10 @@ class TrainingSet:
             if properties is not None
             else tuple(sorted(self.external_properties(), key=lambda p: p.value))
         )
-        out: List[TrainingExample] = []
-        for link in self._links:
-            values: Dict[IRI, tuple[str, ...]] = {}
-            for prop in selected:
-                literals = self._external.literal_values(link.external, prop)
-                if literals:
-                    values[prop] = tuple(literals)
-            classes = self._ontology.most_specific_classes_of(link.local)
-            out.append(
-                TrainingExample(link=link, property_values=values, classes=classes)
-            )
-        return out
+        return [
+            join_link(link, selected, self._external, self._ontology)
+            for link in self._links
+        ]
 
     def class_histogram(self) -> Dict[IRI, int]:
         """Count links per most-specific local class.

@@ -229,11 +229,6 @@ class PartNumberGrammar:
         """Profile per leaf IRI."""
         return dict(self._profiles)
 
-    @property
-    def leaky_codes(self) -> Tuple[str, ...]:
-        """Series codes allowed to stray into other classes."""
-        return tuple(self._leaky_codes)
-
     def profile_of(self, leaf: IRI) -> LeafProfile:
         """Profile of a leaf class."""
         return self._profiles[leaf]

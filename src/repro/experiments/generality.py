@@ -64,12 +64,7 @@ def run_generality(
     )
     rules = learner.learn(training_set)
 
-    histogram = training_set.class_histogram()
-    min_count = learner.config.min_count(len(training_set))
-    frequent = frozenset(
-        cls for cls, count in histogram.items() if count >= min_count
-    )
-    eligible = eligible_count(training_set, frequent)
+    eligible = eligible_count(training_set, learner.config.min_count(len(training_set)))
 
     band_groups = rules.confidence_bands(list(bands))
     rows: List[Table1Row] = []

@@ -127,12 +127,7 @@ def run_generalization(
     ]
     extended = base.merge(RuleSet(lifted_confident))
 
-    histogram = training_set.class_histogram()
-    min_count = config.min_count(len(training_set))
-    frequent = frozenset(
-        cls for cls, count in histogram.items() if count >= min_count
-    )
-    eligible = eligible_count(training_set, frequent)
+    eligible = eligible_count(training_set, config.min_count(len(training_set)))
 
     base_dec, base_ok, base_recall = _evaluate_with_subsumption(
         base, training_set, eligible

@@ -108,12 +108,6 @@ def run_stats(
     lifts = [band.average_lift() for band in bands.values() if len(band)]
     min_lift = min(lifts) if lifts else 0.0
 
-    histogram = training_set.class_histogram()
-    min_count = learner.config.min_count(len(training_set))
-    frequent_classes = frozenset(
-        cls for cls, count in histogram.items() if count >= min_count
-    )
-
     return InTextStats(
         total_links=stats.total_links,
         distinct_segments=stats.distinct_segments,
@@ -123,7 +117,9 @@ def run_stats(
         rule_count=stats.rule_count,
         confidence_one_rules=len(confidence_one),
         classes_with_confident_rules=len(confident.concluded_classes()),
-        eligible_items=eligible_count(training_set, frequent_classes),
+        eligible_items=eligible_count(
+            training_set, learner.config.min_count(len(training_set))
+        ),
         min_lift_across_bands=min_lift,
     )
 

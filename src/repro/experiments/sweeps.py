@@ -63,19 +63,16 @@ def run_support_sweep(
     if catalog is None:
         catalog = ElectronicCatalogGenerator(CatalogConfig.thales_like()).generate()
     training_set = catalog.to_training_set()
+    # pass 0 is threshold-independent: segment and index TS once
+    index = RuleLearner(LearnerConfig(properties=(PART_NUMBER,))).build_index(training_set)
     rows: List[SupportSweepRow] = []
     for threshold in thresholds:
         learner = RuleLearner(
             LearnerConfig(properties=(PART_NUMBER,), support_threshold=threshold)
         )
-        rules = learner.learn(training_set)
+        rules = learner.learn(training_set, index=index)
         confident = rules.with_min_confidence(0.4)
-        histogram = training_set.class_histogram()
-        min_count = learner.config.min_count(len(training_set))
-        frequent = frozenset(
-            cls for cls, count in histogram.items() if count >= min_count
-        )
-        eligible = eligible_count(training_set, frequent)
+        eligible = eligible_count(training_set, learner.config.min_count(len(training_set)))
         decisions, precision, recall = evaluate_band(
             confident, training_set, eligible, properties=(PART_NUMBER,)
         )
@@ -139,14 +136,8 @@ def run_segmentation_ablation(
     training_set = catalog.to_training_set()
     strategies = strategies or default_segmentation_strategies()
 
-    histogram = training_set.class_histogram()
-    min_count = LearnerConfig(support_threshold=support_threshold).min_count(
-        len(training_set)
-    )
-    frequent = frozenset(
-        cls for cls, count in histogram.items() if count >= min_count
-    )
-    eligible = eligible_count(training_set, frequent)
+    min_count = LearnerConfig(support_threshold=support_threshold).min_count(len(training_set))
+    eligible = eligible_count(training_set, min_count)
 
     rows: List[SegmentationRow] = []
     for name, segmenter in strategies.items():

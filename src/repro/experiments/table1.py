@@ -155,14 +155,18 @@ def evaluate_band(
     return len(decided), precision, recall
 
 
-def eligible_count(training_set: TrainingSet, frequent_classes: frozenset[IRI]) -> int:
-    """TS items whose true class is frequent — the recall denominator."""
-    count = 0
-    for link in training_set:
-        classes = training_set.ontology.most_specific_classes_of(link.local)
-        if classes & frequent_classes:
-            count += 1
-    return count
+def eligible_count(training_set: TrainingSet, min_count: int) -> int:
+    """TS items whose true class is frequent — the recall denominator.
+
+    A class is frequent when at least *min_count* links carry it, the
+    learner's pass 2: the classes a rule could conclude.
+    """
+    histogram = training_set.class_histogram()
+    frequent = {cls for cls, count in histogram.items() if count >= min_count}
+    ontology = training_set.ontology
+    return sum(
+        1 for link in training_set if ontology.most_specific_classes_of(link.local) & frequent
+    )
 
 
 def run_table1(
@@ -187,14 +191,7 @@ def run_table1(
     )
     rules = learner.learn(training_set)
 
-    # eligible denominator: items whose class passed the frequency filter
-    # (use the learner's frequent classes, i.e. classes a rule could target)
-    histogram = training_set.class_histogram()
-    min_count = learner.config.min_count(len(training_set))
-    frequent_classes = frozenset(
-        cls for cls, count in histogram.items() if count >= min_count
-    )
-    eligible = eligible_count(training_set, frequent_classes)
+    eligible = eligible_count(training_set, learner.config.min_count(len(training_set)))
 
     band_groups = rules.confidence_bands(list(bands))
     rows: List[Table1Row] = []

@@ -88,10 +88,6 @@ class InvertedIndex:
         fid = self.vocabulary.id_of(feature)
         return EMPTY_POSTING if fid is None else self._postings[fid]
 
-    def posting_by_id(self, fid: int) -> PostingList:
-        """Posting list by dense feature id."""
-        return self._postings[fid]
-
     def count(self, feature: Hashable) -> int:
         """``freq(feature)`` — the posting length."""
         return len(self.posting(feature))

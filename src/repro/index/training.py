@@ -1,9 +1,11 @@
 """The shared training-link index behind Algorithm 1.
 
 One :class:`TrainingFeatureIndex` is built per training set (or grown
-incrementally as experts validate new links) and replaces the private
-Counters that ``RuleLearner`` and ``IncrementalRuleLearner`` used to
-re-derive on every pass:
+incrementally as experts validate new links). It is the one source of
+counts every learner reads — ``RuleLearner`` and
+``IncrementalRuleLearner`` through
+:func:`~repro.core.learner.rules_from_index`, ``ConjunctiveRuleLearner``
+and ``RuleGeneralizer`` through the same probes:
 
 * ``freq(p ∧ a)``   = ``len(post(p, a))``,
 * ``freq(c)``       = ``len(post(c))``,
