@@ -12,7 +12,6 @@ service, and a rule export utility:
 * ``link`` — run an end-to-end batch linking job through the engine
   (chunked, cached, optionally parallel — including the block-parallel
   ``shard`` executor) and report throughput;
-* ``throughput`` — the engine throughput experiment (A5);
 * ``scenarios`` — list or run the scenario workload matrix (batch +
   streaming legs with the byte-identity check and metric envelopes);
 * ``artifacts`` — build or inspect a warm-start bundle;
@@ -294,24 +293,6 @@ def _cmd_link(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_throughput(args: argparse.Namespace) -> int:
-    from repro.experiments.throughput import (
-        THROUGHPUT_HEADER,
-        run_linking_throughput,
-    )
-
-    rows = run_linking_throughput(
-        _generate(args),
-        sizes=tuple(args.sizes),
-        job_config=_job_config(args),
-        seed=4242 if args.seed is None else args.seed,
-    )
-    print(THROUGHPUT_HEADER)
-    for row in rows:
-        print(row.format())
-    return 0
-
-
 def _cmd_scenarios(args: argparse.Namespace) -> int:
     import json
 
@@ -508,8 +489,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             cache_size=args.cache_size,
             queue_workers=args.queue_workers,
             queue_depth=args.queue_depth,
-            multiplex_threshold=args.multiplex_threshold,
-            multiplex_workers=args.multiplex_workers,
         )
     except (ArtifactError, ServeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -633,15 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     link.add_argument("--match-threshold", type=float, default=0.9)
     link.set_defaults(handler=_cmd_link)
 
-    throughput = sub.add_parser("throughput", help="engine throughput A5")
-    _add_common(throughput)
-    _add_engine_flags(throughput)
-    throughput.add_argument(
-        "--sizes", type=_positive_int, nargs="+", default=[200, 400, 800],
-        help="provider batch sizes to sweep",
-    )
-    throughput.set_defaults(handler=_cmd_throughput)
-
     generalization = next(
         action for action in sub.choices.values() if action.prog.endswith("generalization")
     )
@@ -749,22 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=32,
         help="requests allowed to wait behind the workers before the "
         "daemon answers 503 + Retry-After (default 32)",
-    )
-    serve.add_argument(
-        "--multiplex-threshold",
-        type=_positive_int,
-        default=None,
-        metavar="RECORDS",
-        help="shard-multiplex /link batches of at least RECORDS records "
-        "over the shard executor (byte-identical to serial; default: "
-        "never multiplex)",
-    )
-    serve.add_argument(
-        "--multiplex-workers",
-        type=_positive_int,
-        default=None,
-        help="worker processes for multiplexed batches "
-        "(default: one per available CPU)",
     )
     serve.add_argument(
         "--self-test",

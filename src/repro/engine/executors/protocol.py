@@ -1,11 +1,10 @@
 """The serializable shard work-unit protocol.
 
 A :class:`ShardWorkUnit` is one shard of a linking run as a value: the
-shard plan slice, the record stores (external inline; local inline or
-pinned by fingerprint for workers that already hold the store), and the
-blocking/comparator/decider configuration as declarative *specs* — not
-pickles — so a unit is transport-agnostic: a subprocess, an HTTP body
-and a message queue all carry the same JSON envelope.
+shard plan slice, both record stores inline, and the blocking/
+comparator/decider configuration as declarative *specs* — not pickles —
+so a unit is transport-agnostic: a subprocess, an HTTP body and a
+message queue all carry the same JSON envelope.
 
 A :class:`~repro.engine.shard.ShardOutcome` travels back as a
 ``WorkerResult`` envelope carrying the ordinal-merge sort keys
@@ -66,8 +65,9 @@ WORK_UNIT_FORMAT = "repro-shard-work-unit"
 WORKER_RESULT_FORMAT = "repro-worker-result"
 
 #: Bumped on any incompatible change to the envelope bodies (2: the
-#: blocking specs dropped their index-or-scan toggle).
-PROTOCOL_SCHEMA_VERSION = 2
+#: blocking specs dropped their index-or-scan toggle; 3: units always
+#: carry the local store inline and no longer pin it by fingerprint).
+PROTOCOL_SCHEMA_VERSION = 3
 
 
 class WorkUnitError(ValueError):
@@ -81,15 +81,6 @@ def _canonical(payload: Any) -> str:
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def store_fingerprint(store: RecordStore) -> str:
-    """A content fingerprint of a record store (canonical-payload sha256).
-
-    Remote workers pin their resident local store with this: a unit
-    built against one catalog can never silently fold against another.
-    """
-    return _digest(_canonical(record_store_to_payload(store)))
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +292,8 @@ def work_unit_unsupported_reason(
 class ShardWorkUnit:
     """One shard of a linking run, as a transport-agnostic value.
 
-    ``local_payload`` is optional: a unit shipped to a worker that
-    already holds the local store (a warm-started daemon) carries only
-    ``local_fingerprint``, and the worker must refuse to fold against a
-    store with a different fingerprint. ``fields`` pins the comparator's
-    field vocabulary so a unit and its executing store agree on the
-    similarity columns by construction.
+    ``fields`` pins the comparator's field vocabulary so a unit and its
+    executing store agree on the similarity columns by construction.
     """
 
     shard: int
@@ -317,8 +304,7 @@ class ShardWorkUnit:
     scoring: str
     cache_size: int
     external_payload: Dict[str, Any]
-    local_fingerprint: str
-    local_payload: Optional[Dict[str, Any]] = None
+    local_payload: Dict[str, Any]
     fields: Tuple[str, ...] = ()
 
 
@@ -377,7 +363,6 @@ def work_unit_to_payload(unit: ShardWorkUnit) -> Dict[str, Any]:
         "scoring": unit.scoring,
         "cache_size": unit.cache_size,
         "external": unit.external_payload,
-        "local_fingerprint": unit.local_fingerprint,
         "local": unit.local_payload,
         "fields": list(unit.fields),
     }
@@ -399,12 +384,13 @@ def work_unit_from_payload(payload: Mapping[str, Any]) -> ShardWorkUnit:
             scoring=body["scoring"],
             cache_size=body["cache_size"],
             external_payload=body["external"],
-            local_fingerprint=body["local_fingerprint"],
             local_payload=body["local"],
             fields=tuple(body["fields"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise WorkUnitError(f"malformed work-unit body: {exc}") from exc
+    if not isinstance(unit.local_payload, Mapping):
+        raise WorkUnitError("malformed work-unit body: no inline local store")
     expected_fields = tuple(sorted(entry["field"] for entry in unit.comparator))
     if unit.fields != expected_fields:
         raise WorkUnitError(
@@ -539,7 +525,6 @@ def build_work_units(
     plan: ShardPlan,
     scoring: str,
     cache_size: int,
-    inline_local: bool = True,
 ) -> List[ShardWorkUnit]:
     """One unit per plan shard; shared payloads are built exactly once."""
     blocking_spec = blocking_to_spec(blocking)
@@ -547,7 +532,6 @@ def build_work_units(
     decider_spec = decider_to_spec(decider)
     external_payload = record_store_to_payload(external)
     local_payload = record_store_to_payload(local)
-    fingerprint = _digest(_canonical(local_payload))
     fields = tuple(sorted(entry["field"] for entry in comparator_spec))
     return [
         ShardWorkUnit(
@@ -559,37 +543,16 @@ def build_work_units(
             scoring=scoring,
             cache_size=cache_size,
             external_payload=external_payload,
-            local_fingerprint=fingerprint,
-            local_payload=local_payload if inline_local else None,
+            local_payload=local_payload,
             fields=fields,
         )
         for shard in range(plan.shards)
     ]
 
 
-def execute_work_unit(
-    unit: ShardWorkUnit, local: Optional[RecordStore] = None
-) -> ShardOutcome:
-    """Run one deserialized unit and return its shard outcome.
-
-    With *local* the worker folds against its resident store — after
-    verifying the unit's fingerprint pins exactly that store. Without
-    one the unit must carry the store inline.
-    """
-    if local is not None:
-        found = store_fingerprint(local)
-        if found != unit.local_fingerprint:
-            raise WorkUnitError(
-                "local store fingerprint mismatch: unit was built against "
-                f"{unit.local_fingerprint[:12]}…, this worker holds {found[:12]}…"
-            )
-    elif unit.local_payload is not None:
-        local = record_store_from_payload(unit.local_payload)
-    else:
-        raise WorkUnitError(
-            "work unit carries no inline local store and no resident store "
-            "was provided"
-        )
+def execute_work_unit(unit: ShardWorkUnit) -> ShardOutcome:
+    """Run one deserialized unit and return its shard outcome."""
+    local = record_store_from_payload(unit.local_payload)
     external = record_store_from_payload(unit.external_payload)
     blocking = blocking_from_spec(unit.blocking)
     comparator = comparator_from_spec(unit.comparator)

@@ -12,15 +12,14 @@ to its ``repro`` command and the test that pins it):
   sweep, segmentation-strategy ablation, scalability in |TS|;
 * :mod:`repro.experiments.blocking_comparison` — **A3**: rule-based
   reduction vs the classic blocking baselines (through the engine);
-* :mod:`repro.experiments.throughput` — **A5**: batch linking
-  throughput through :class:`repro.engine.LinkingJob` (pairs/sec,
-  cache hit rate, chunking);
+* :mod:`repro.experiments.throughput` — ``provider_batch``, the
+  shared generator of out-of-sample provider records;
 * :mod:`repro.experiments.generalization` — **X1**: the future-work
   subsumption generalization.
 
-Every module exposes a ``run_*`` function returning a dataclass report
-and a ``main()`` that prints the paper-style table; ``python -m
-repro.experiments.table1`` etc. work from the command line.
+Every experiment module exposes a ``run_*`` function returning a
+dataclass report and a ``main()`` that prints the paper-style table;
+``python -m repro.experiments.table1`` etc. work from the command line.
 """
 
 from repro.experiments.table1 import Table1Report, Table1Row, run_table1
@@ -37,11 +36,7 @@ from repro.experiments.blocking_comparison import (
     BlockingComparisonRow,
     run_blocking_comparison,
 )
-from repro.experiments.throughput import (
-    ThroughputRow,
-    provider_batch,
-    run_linking_throughput,
-)
+from repro.experiments.throughput import provider_batch
 from repro.experiments.generalization import (
     GeneralizationReport,
     run_generalization,
@@ -69,9 +64,7 @@ __all__ = [
     "run_scalability",
     "BlockingComparisonRow",
     "run_blocking_comparison",
-    "ThroughputRow",
     "provider_batch",
-    "run_linking_throughput",
     "GeneralizationReport",
     "run_generalization",
     "GeneralityReport",

@@ -13,8 +13,8 @@ with lazy open and idle-LRU eviction;
 threading HTTP server whose work is admitted through a bounded
 :class:`~repro.serve.queueing.RequestQueue` (overload → 503 +
 ``Retry-After``), so many clients share warm engines without thread
-pileup. Large batches multiplex over the shard executor and stay
-byte-identical to serial.
+pileup. Every request runs serially on its session's shared
+thread-safe cache.
 """
 
 from repro.serve.build import build_bundle

@@ -22,12 +22,6 @@ Protocol (all JSON):
   comparand). Without ``"bundle"`` the registry default answers.
 * ``POST /delta`` — body ``{"stream": name, "records": [...],
   "bundle": name?}``; ingests a delta into a named cumulative stream.
-* ``POST /work`` — body is one checksummed
-  :class:`~repro.engine.executors.protocol.ShardWorkUnit` envelope
-  (plus ``"bundle"``): the daemon acts as a remote shard worker,
-  executing the unit against the bundle's resident store — after the
-  unit's store fingerprint is verified — and answering with the
-  worker-result envelope, behind the same queue backpressure.
 
 Error mapping: malformed/empty JSON → 400, unknown bundle → 404,
 unknown path → 404, body over ``max_body_bytes`` → 413 (rejected
@@ -41,7 +35,7 @@ import threading
 from http.client import HTTPConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.serve.queueing import (
     DEFAULT_QUEUE_DEPTH,
@@ -79,7 +73,6 @@ def link_response(result) -> Dict[str, Any]:
 
 
 def _make_handler(daemon: "LinkDaemon"):
-    from repro.engine.executors.protocol import WorkUnitError
     from repro.index.artifacts import ArtifactError, record_store_from_payload
 
     registry = daemon.registry
@@ -151,8 +144,6 @@ def _make_handler(daemon: "LinkDaemon"):
                     handle = self._handle_link
                 elif self.path == "/delta":
                     handle = self._handle_delta
-                elif self.path == "/work":
-                    handle = self._handle_work
                 else:
                     self._reply(404, {"error": f"unknown path {self.path!r}"})
                     return
@@ -167,7 +158,7 @@ def _make_handler(daemon: "LinkDaemon"):
                 )
             except UnknownBundleError as exc:
                 self._reply(404, {"error": str(exc)})
-            except (ServeError, ArtifactError, WorkUnitError) as exc:
+            except (ServeError, ArtifactError) as exc:
                 self._reply(400, {"error": str(exc)})
             except Exception as exc:  # pragma: no cover - defensive
                 self._reply(500, {"error": f"{type(exc).__name__}: {exc}"})
@@ -197,11 +188,6 @@ def _make_handler(daemon: "LinkDaemon"):
                 }
                 return response
 
-        def _handle_work(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-            bundle = payload.pop("bundle", None)
-            with registry.lease(_bundle_name(bundle)) as session:
-                return session.run_work_unit(payload)
-
     return LinkRequestHandler
 
 
@@ -217,16 +203,12 @@ def _bundle_name(raw: Any) -> Optional[str]:
 
 
 class LinkDaemon:
-    """The serve daemon: warm sessions behind a queued threading server.
-
-    Accepts either a :class:`BundleRegistry` (multi-bundle hosting) or
-    a bare :class:`LinkSession` (wrapped as a single-entry registry
-    named ``default``, preserving the PR 8 embedding API).
-    """
+    """The serve daemon: a registry's warm sessions behind a queued
+    threading server."""
 
     def __init__(
         self,
-        source: Union[BundleRegistry, LinkSession],
+        registry: BundleRegistry,
         host: str = "127.0.0.1",
         port: int = 0,
         *,
@@ -235,13 +217,16 @@ class LinkDaemon:
         retry_after: float = DEFAULT_RETRY_AFTER,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
     ) -> None:
-        if isinstance(source, LinkSession):
-            source = BundleRegistry.wrapping(source)
+        if not isinstance(registry, BundleRegistry):
+            raise TypeError(
+                f"LinkDaemon serves a BundleRegistry, not a "
+                f"{type(registry).__name__}; use serve_bundle(path) for one bundle"
+            )
         if max_body_bytes < 1:
             raise ServeError(
                 f"max_body_bytes must be >= 1, got {max_body_bytes}"
             )
-        self._registry = source
+        self._registry = registry
         self._queue = RequestQueue(
             workers=queue_workers, depth=queue_depth, retry_after=retry_after
         )
@@ -333,8 +318,6 @@ def serve_bundle(
     queue_depth: int = DEFAULT_QUEUE_DEPTH,
     retry_after: float = DEFAULT_RETRY_AFTER,
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-    multiplex_threshold: Optional[int] = None,
-    multiplex_workers: Optional[int] = None,
 ) -> LinkDaemon:
     """One bundle behind a (not yet started) daemon.
 
@@ -351,8 +334,6 @@ def serve_bundle(
         queue_depth=queue_depth,
         retry_after=retry_after,
         max_body_bytes=max_body_bytes,
-        multiplex_threshold=multiplex_threshold,
-        multiplex_workers=multiplex_workers,
     )
 
 
@@ -368,8 +349,6 @@ def serve_bundles(
     queue_depth: int = DEFAULT_QUEUE_DEPTH,
     retry_after: float = DEFAULT_RETRY_AFTER,
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-    multiplex_threshold: Optional[int] = None,
-    multiplex_workers: Optional[int] = None,
 ) -> LinkDaemon:
     """Many named bundles behind one (not yet started) daemon.
 
@@ -384,8 +363,6 @@ def serve_bundles(
         default=default,
         max_open=max_open if max_open is not None else DEFAULT_MAX_OPEN,
         cache_size=cache_size,
-        multiplex_threshold=multiplex_threshold,
-        multiplex_workers=multiplex_workers,
     )
     registry.session()  # eager default open: fail fast on a bad bundle
     return LinkDaemon(

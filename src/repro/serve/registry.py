@@ -42,8 +42,6 @@ class BundleRegistry:
         default: Optional[str] = None,
         max_open: int = DEFAULT_MAX_OPEN,
         cache_size: Optional[int] = None,
-        multiplex_threshold: Optional[int] = None,
-        multiplex_workers: Optional[int] = None,
     ) -> None:
         if not bundles:
             raise ServeError("a bundle registry needs at least one bundle")
@@ -65,8 +63,6 @@ class BundleRegistry:
         self._default = default
         self._max_open = max_open
         self._cache_size = cache_size
-        self._multiplex_threshold = multiplex_threshold
-        self._multiplex_workers = multiplex_workers
         self._lock = threading.RLock()
         self._sessions: "OrderedDict[str, LinkSession]" = OrderedDict()
         self._open_locks = {name: threading.Lock() for name in self._paths}
@@ -74,20 +70,6 @@ class BundleRegistry:
         self._requests: Dict[str, int] = {name: 0 for name in self._paths}
         self._opens = 0
         self._evictions = 0
-
-    @classmethod
-    def wrapping(
-        cls, session: LinkSession, name: str = "default"
-    ) -> "BundleRegistry":
-        """A single-entry registry around an already-open session.
-
-        Back-compat shim: ``LinkDaemon(session)`` still works — the
-        session becomes the registry's default (and only) bundle.
-        """
-        registry = cls({name: Path(".")}, default=name)
-        registry._sessions[name] = session
-        registry._opens = 1
-        return registry
 
     # ------------------------------------------------------------------
     # lookup
@@ -157,12 +139,7 @@ class BundleRegistry:
     def _open(self, name: str) -> LinkSession:
         from repro.index.artifacts import load_bundle
 
-        return LinkSession(
-            load_bundle(self._paths[name]),
-            cache_size=self._cache_size,
-            multiplex_threshold=self._multiplex_threshold,
-            multiplex_workers=self._multiplex_workers,
-        )
+        return LinkSession(load_bundle(self._paths[name]), cache_size=self._cache_size)
 
     def _evict_idle(self, protect: Optional[str] = None) -> None:
         # under self._lock. Walk oldest-first, skipping busy sessions:

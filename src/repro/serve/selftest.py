@@ -20,17 +20,17 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.serve.build import _catalog_for
 from repro.serve.daemon import LinkDaemon, link_response, request_json, serve_bundle
-from repro.serve.session import ServeError, make_blocking
+from repro.serve.session import make_blocking
 
 
 def response_identity(response: Mapping[str, Any]) -> Dict[str, Any]:
     """The byte-identity comparand of a link response.
 
-    Everything except ``executor``: which executor answered (serial,
-    shard, or a degraded fallback) is diagnostic and machine-dependent,
-    while the counters and the canonical N-Triples string are the
-    contract — the shard fold restores serial emission order precisely
-    so that this projection is executor-invariant.
+    Everything except ``executor``, which is diagnostic: the counters
+    and the canonical N-Triples string are the contract, and every
+    engine executor produces them byte-identically (the shard fold
+    restores serial emission order), so this projection is
+    executor-invariant.
     """
     return {key: value for key, value in response.items() if key != "executor"}
 
@@ -101,7 +101,6 @@ def run_self_test(
     items: int = 120,
     requests: int = 8,
     workers: int = 4,
-    multiplex_threshold: Optional[int] = None,
     daemon: Optional[LinkDaemon] = None,
 ) -> Dict[str, Any]:
     """Fire concurrent warm requests and diff them against the cold path.
@@ -109,22 +108,14 @@ def run_self_test(
     Builds (or reuses) a daemon over *bundle_path*, computes the
     one-shot reference in-process, then sends *requests* concurrent
     ``/link`` calls from *workers* client threads. Returns a report
-    dict; ``report["identical"]`` is the gate.
-
-    With *multiplex_threshold* the daemon shards any batch of at least
-    that many records, so the gate also proves the multiplexed path:
-    responses are compared through :func:`response_identity` (the
-    executor tag legitimately differs; everything else must not), and
-    the report records how many requests actually multiplexed and which
-    executors answered.
+    dict; ``report["identical"]`` is the gate, compared through
+    :func:`response_identity`.
     """
     from repro.index.artifacts import record_store_to_payload
 
     own_daemon = daemon is None
     if daemon is None:
-        daemon = serve_bundle(
-            bundle_path, multiplex_threshold=multiplex_threshold
-        )
+        daemon = serve_bundle(bundle_path)
     try:
         host, port = daemon.start()
         config = daemon.session.bundle.config
@@ -163,8 +154,6 @@ def run_self_test(
                 statistics.median(warm_seconds), 1e-9
             ),
             "cache_hit_rate": daemon.session.comparator.cache_hit_rate,
-            "multiplex_threshold": daemon.session.multiplex_threshold,
-            "multiplexed_requests": daemon.session.multiplexed_count,
             "executors": sorted(
                 {str(response.get("executor")) for response in responses}
             ),

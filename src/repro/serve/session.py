@@ -8,10 +8,11 @@ constructs its blocking method exactly as the one-shot ``repro link``
 path does (same classes, same parameters, same order), so a session
 answer is byte-identical to what a cold CLI run would print.
 
+Every request runs under ``JobConfig(executor="serial")``.
+
 Concurrency: the session is shared across daemon worker threads. The
 similarity cache is one :class:`CachedRecordComparator` built
-``thread_safe=True`` — the constructor enforces this invariant and
-refuses to run otherwise, because the engine's serial path reuses a
+``thread_safe=True``, because the engine's serial path reuses a
 caller-provided comparator as-is and concurrent serial jobs over an
 unsynchronized OrderedDict would race. Streams (delta ingestion) are
 guarded by a per-stream lock.
@@ -101,26 +102,10 @@ def make_blocking(
 
 
 class LinkSession:
-    """A warm, thread-shareable engine session over one bundle.
-
-    ``multiplex_threshold`` turns on shard multiplexing for large
-    batches: a ``link`` request of at least that many external records
-    runs under ``JobConfig(executor="shard")`` — partitioned by the
-    engine's :class:`~repro.engine.shard.ShardPlan` and folded with the
-    ordinal merge — instead of serially. The shard executor is provably
-    byte-identical to serial (its fold restores serial emission order,
-    and the shared cache is pure memoization), so multiplexing changes
-    wall clock, never bytes; when the machine cannot shard (one CPU,
-    pool bring-up failure) the engine degrades to serial on its own.
-    """
+    """A warm, thread-shareable engine session over one bundle."""
 
     def __init__(
-        self,
-        bundle: ArtifactBundle,
-        cache_size: Optional[int] = None,
-        *,
-        multiplex_threshold: Optional[int] = None,
-        multiplex_workers: Optional[int] = None,
+        self, bundle: ArtifactBundle, cache_size: Optional[int] = None
     ) -> None:
         from repro.engine import DEFAULT_CACHE_SIZE, CachedRecordComparator
         from repro.linking import FieldComparator, RecordComparator
@@ -140,24 +125,9 @@ class LinkSession:
         comparator = CachedRecordComparator(inner, cache_size, thread_safe=True)
         if bundle.comparator_cache:
             comparator.cache_load(bundle.comparator_cache)
-        if not comparator.thread_safe:
-            # the serve-path invariant: concurrent requests share this
-            # comparator through the engine's serial path, which reuses
-            # a caller-provided cache as-is
-            raise ServeError(
-                "serve sessions require a thread-safe shared comparator"
-            )
         self._comparator = comparator
-        if multiplex_threshold is not None and multiplex_threshold < 1:
-            raise ServeError(
-                f"multiplex threshold must be >= 1, got {multiplex_threshold}"
-            )
-        self._multiplex_threshold = multiplex_threshold
-        self._multiplex_workers = multiplex_workers
         self._lock = threading.Lock()
         self._requests = 0
-        self._multiplexed = 0
-        self._work_units = 0
         self._streams: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
@@ -203,17 +173,6 @@ class LinkSession:
         """Requests answered so far (link + delta)."""
         with self._lock:
             return self._requests
-
-    @property
-    def multiplexed_count(self) -> int:
-        """Link requests that ran under the shard executor."""
-        with self._lock:
-            return self._multiplexed
-
-    @property
-    def multiplex_threshold(self) -> Optional[int]:
-        """Batch size at which link requests shard (``None`` = never)."""
-        return self._multiplex_threshold
 
     @property
     def stream_count(self) -> int:
@@ -263,12 +222,7 @@ class LinkSession:
     # ------------------------------------------------------------------
     # requests
     # ------------------------------------------------------------------
-    def link(
-        self,
-        external,
-        external_graph: Optional[Graph] = None,
-        job_config=None,
-    ):
+    def link(self, external, external_graph: Optional[Graph] = None):
         """Link one external store against the warm local store.
 
         Returns the engine's :class:`~repro.linking.pipeline.LinkingResult`,
@@ -279,40 +233,16 @@ class LinkSession:
 
         if external_graph is None and self.blocking_name in ("rules", "rules-strict"):
             external_graph = self.graph_of(external)
-        blocking = self.make_blocking(external_graph)
-        multiplexed = False
-        if job_config is None:
-            job_config = self._job_config_for(len(external))
-            multiplexed = job_config.executor == "shard"
         job = LinkingJob(
-            blocking,
+            self.make_blocking(external_graph),
             self._comparator,
             ThresholdMatcher(match_threshold=self.match_threshold),
-            job_config,
+            JobConfig(executor="serial"),
         )
         result = job.run(external, self._local)
         with self._lock:
             self._requests += 1
-            if multiplexed:
-                self._multiplexed += 1
         return result
-
-    def _job_config_for(self, batch_size: int):
-        """Serial below the multiplex threshold, shard at or above it.
-
-        Byte-identity is executor-invariant (the shard fold restores
-        serial emission order), so this choice is purely a latency one.
-        """
-        from repro.engine import JobConfig
-
-        if (
-            self._multiplex_threshold is not None
-            and batch_size >= self._multiplex_threshold
-        ):
-            return JobConfig(
-                executor="shard", workers=self._multiplex_workers
-            )
-        return JobConfig(executor="serial")
 
     def incremental_learner(self):
         """A warm-started incremental rule learner over the bundled state.
@@ -338,31 +268,7 @@ class LinkSession:
             self._bundle.training, self._bundle.ontology
         )
 
-    def run_work_unit(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Act as a remote shard worker: execute one serialized work unit.
-
-        The unit's ``local_fingerprint`` must pin exactly this session's
-        resident store — a unit built against a different catalog is
-        rejected (:class:`~repro.engine.executors.protocol.WorkUnitError`,
-        mapped to 400 by the daemon) before any scan work happens. The
-        outcome payload is the same envelope ``repro worker run-unit``
-        prints, so a coordinator cannot tell a subprocess worker from a
-        daemon-hosted one.
-        """
-        from repro.engine.executors.protocol import (
-            execute_work_unit,
-            work_unit_from_payload,
-            worker_result_to_payload,
-        )
-
-        unit = work_unit_from_payload(payload)
-        outcome = execute_work_unit(unit, local=self._local)
-        with self._lock:
-            self._requests += 1
-            self._work_units += 1
-        return worker_result_to_payload(outcome)
-
-    def delta(self, stream: str, records: Iterable, job_config=None):
+    def delta(self, stream: str, records: Iterable):
         """Ingest a delta of external records into a named stream.
 
         Streams keep cumulative best-match state; blocking must be
@@ -383,7 +289,7 @@ class LinkSession:
                     self._local,
                     self._comparator,
                     ThresholdMatcher(match_threshold=self.match_threshold),
-                    job_config or JobConfig(executor="serial"),
+                    JobConfig(executor="serial"),
                     blocking=self.make_blocking(None),
                 )
                 self._streams[stream] = job
@@ -403,14 +309,7 @@ class LinkSession:
         with self._lock:
             streams = sorted(self._streams)
             requests = self._requests
-            multiplexed = self._multiplexed
-            work_units = self._work_units
         return {
-            "multiplex": {
-                "threshold": self._multiplex_threshold,
-                "workers": self._multiplex_workers,
-                "requests": multiplexed,
-            },
             "records": len(self._local),
             "blocking": self.blocking_name,
             "match_threshold": self.match_threshold,
@@ -418,7 +317,6 @@ class LinkSession:
             "rules": len(self._bundle.rules) if self._bundle.rules is not None else 0,
             "requests": requests,
             "streams": streams,
-            "work_units": work_units,
             "cache": {
                 "capacity": self._comparator.cache_capacity,
                 "hits": self._comparator.cache_hits,

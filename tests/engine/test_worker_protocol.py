@@ -3,11 +3,11 @@
 Four layers:
 
 * **envelope integrity** — a tampered body, a stale schema version, a
-  foreign environment fingerprint or a wrong format tag is rejected
-  with an actionable :class:`WorkUnitError` before any scan work;
-* **store pinning** — a unit built against one local store refuses to
-  fold against another (the remote-worker safety property), and the
-  comparator's vocabulary pin must agree with its field spec;
+  foreign environment fingerprint, a wrong format tag or a vocabulary
+  pin that disagrees with the comparator spec is rejected with an
+  actionable :class:`WorkUnitError` before any scan work;
+* **spec support** — a job configuration the spec language cannot
+  express names the part that blocks it;
 * **the CLI worker** — ``repro worker run-unit`` reads one envelope on
   stdin and answers one on stdout (exit 2 + stderr on a bad unit);
 * **transport degradation** — a subprocess that cannot be spawned, one
@@ -38,12 +38,12 @@ from repro.engine.executors.protocol import (
     encode_work_unit,
     encode_worker_result,
     execute_work_unit,
-    store_fingerprint,
     work_unit_from_payload,
     work_unit_to_payload,
     work_unit_unsupported_reason,
 )
 from repro.engine.shard import ShardPlan
+from repro.index.artifacts import record_store_from_payload
 from repro.linking import (
     FieldComparator,
     QGramBlocking,
@@ -70,7 +70,7 @@ def workload():
     return external, local
 
 
-def _units(external, local, shards=2, inline_local=True, blocking=None):
+def _units(external, local, shards=2, blocking=None):
     return build_work_units(
         blocking or QGramBlocking("pn", q=2, threshold=0.6),
         RecordComparator([FieldComparator("pn")]),
@@ -80,7 +80,6 @@ def _units(external, local, shards=2, inline_local=True, blocking=None):
         ShardPlan.build(shards),
         "pairwise",
         1024,
-        inline_local=inline_local,
     )
 
 
@@ -120,30 +119,70 @@ class TestEnvelopeRejection:
             work_unit_from_payload(work_unit_to_payload(tampered))
 
 
-class TestStorePinning:
-    def test_resident_store_fingerprint_must_match(self, workload):
-        external, local = workload
-        unit = _units(external, local, inline_local=False)[0]
-        foreign = _store("l", ("entirely", "different", "catalog"))
-        with pytest.raises(WorkUnitError, match="fingerprint mismatch"):
-            execute_work_unit(unit, local=foreign)
+def _reseal(payload):
+    """*payload* with its checksum recomputed over an edited body."""
+    canonical = json.dumps(payload["body"], sort_keys=True, separators=(",", ":"))
+    payload["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return payload
 
-    def test_unit_without_store_needs_a_resident_one(self, workload):
-        unit = _units(*workload, inline_local=False)[0]
+
+class TestInlineLocalStore:
+    """Every unit carries its local store; no unit pins a resident one."""
+
+    def test_units_share_one_local_payload(self, workload):
+        external, local = workload
+        units = _units(external, local, shards=3)
+        assert len({id(unit.local_payload) for unit in units}) == 1
+        rebuilt = record_store_from_payload(units[0].local_payload)
+        assert [record.id for record in rebuilt] == [record.id for record in local]
+
+    def test_unit_without_local_store_is_malformed(self, workload):
+        payload = work_unit_to_payload(_units(*workload)[0])
+        del payload["body"]["local"]
+        with pytest.raises(WorkUnitError, match="malformed work-unit body"):
+            work_unit_from_payload(_reseal(payload))
+
+    def test_null_local_store_is_refused_before_execution(self, workload):
+        payload = work_unit_to_payload(_units(*workload)[0])
+        payload["body"]["local"] = None
         with pytest.raises(WorkUnitError, match="no inline local store"):
-            execute_work_unit(unit)
+            work_unit_from_payload(_reseal(payload))
 
-    def test_matching_resident_store_executes(self, workload):
+    def test_unit_carries_no_store_fingerprint(self, workload):
+        payload = work_unit_to_payload(_units(*workload)[0])
+        assert "local_fingerprint" not in payload["body"]
+        names = {field.name for field in dataclasses.fields(ShardWorkUnit)}
+        assert "local_fingerprint" not in names
+
+    def test_execution_takes_no_resident_store(self, workload):
         external, local = workload
-        lean, fat = (
-            _units(external, local, inline_local=False)[0],
-            _units(external, local, inline_local=True)[0],
-        )
-        assert store_fingerprint(local) == lean.local_fingerprint
-        resident = execute_work_unit(lean, local=local)
-        inline = execute_work_unit(fat)
-        assert resident == inline
+        unit = _units(external, local)[0]
+        with pytest.raises(TypeError, match="local"):
+            execute_work_unit(unit, local=local)
 
+    def test_builder_has_no_inline_local_switch(self, workload):
+        external, local = workload
+        with pytest.raises(TypeError, match="inline_local"):
+            build_work_units(
+                QGramBlocking("pn", q=2, threshold=0.6),
+                RecordComparator([FieldComparator("pn")]),
+                ThresholdMatcher(match_threshold=0.85),
+                external,
+                local,
+                ShardPlan.build(2),
+                "pairwise",
+                1024,
+                inline_local=False,
+            )
+
+    def test_decoded_unit_executes_like_the_built_one(self, workload):
+        unit = _units(*workload)[1]
+        decoded = decode_work_unit(encode_work_unit(unit))
+        assert decoded == unit
+        assert execute_work_unit(decoded) == execute_work_unit(unit)
+
+
+class TestSpecSupport:
     def test_unsupported_blocking_names_itself(self, workload):
         blocking = StandardBlocking(lambda record: record.value("pn"))
         reason = work_unit_unsupported_reason(
@@ -177,20 +216,28 @@ class TestWorkerCLI:
         assert code == 2 and not out
         assert "checksum mismatch" in err
 
-    def test_run_unit_rejects_a_v1_unit_as_stale(self, monkeypatch, capsys, workload):
-        """Version 1 blocking specs carried an index/scan toggle. A
-        well-formed v1 unit is refused on its version, before any spec
-        is read, so the worker never fails with a ``KeyError``."""
-        assert PROTOCOL_SCHEMA_VERSION == 2
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_run_unit_rejects_an_older_unit_as_stale(
+        self, monkeypatch, capsys, workload, version
+    ):
+        """Version 1 blocking specs carried an index/scan toggle; version
+        2 units pinned the local store by fingerprint and could leave it
+        out. A well-formed older unit is refused on its version, before
+        any spec is read, so the worker never fails with a ``KeyError``."""
+        assert PROTOCOL_SCHEMA_VERSION == 3
         payload = json.loads(encode_work_unit(_units(*workload)[0]))
         body = payload["body"]
-        body["blocking"]["use_index"] = True
+        body["local_fingerprint"] = "f" * 64
+        if version == 1:
+            body["blocking"]["use_index"] = True
+        else:
+            body["local"] = None
         canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-        payload["schema_version"] = 1
+        payload["schema_version"] = version
         payload["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
         code, out, err = self._run_cli(monkeypatch, capsys, json.dumps(payload))
         assert code == 2 and not out
-        assert "stale envelope: schema version 1" in err
+        assert f"stale envelope: schema version {version}" in err
         assert "KeyError" not in err
 
     def test_result_envelope_shares_the_integrity_checks(self, workload):

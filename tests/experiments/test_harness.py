@@ -9,6 +9,8 @@ maps each paper result to the CLI command that regenerates it.
 import pytest
 
 from repro.datagen import CatalogConfig, ElectronicCatalogGenerator
+from repro.datagen.catalog import MANUFACTURER, PART_NUMBER
+from repro.engine import JobConfig, LinkingJob
 from repro.experiments import (
     run_blocking_comparison,
     run_generalization,
@@ -19,6 +21,15 @@ from repro.experiments import (
     run_table1,
 )
 from repro.experiments.table1 import PAPER_TABLE1
+from repro.experiments.throughput import provider_batch
+from repro.linking import (
+    FieldComparator,
+    RecordComparator,
+    RecordStore,
+    StandardBlocking,
+    ThresholdMatcher,
+)
+from repro.rdf import serialize_ntriples
 
 
 @pytest.fixture(scope="module")
@@ -199,31 +210,54 @@ class TestBlockingComparison:
             assert 0.0 <= row.cache_hit_rate <= 1.0
 
 
-class TestLinkingThroughput:
-    @pytest.fixture(scope="class")
-    def rows(self):
-        from repro.experiments import run_linking_throughput
+class TestProviderBatch:
+    """``provider_batch``: the external side of every linking run."""
 
-        cat = ElectronicCatalogGenerator(CatalogConfig.small()).generate()
-        return run_linking_throughput(cat, sizes=(100, 200))
+    def test_one_twin_per_requested_item(self, catalog):
+        graph, truth = provider_batch(catalog, 50, seed=5)
+        assert len(truth) == 50
+        assert len({external for external, _ in truth}) == 50
+        # a corrupted part number and the item's manufacturer per twin
+        assert len(graph) == 100
 
-    def test_one_row_per_size(self, rows):
-        assert [row.n_external for row in rows] == [100, 200]
+    def test_twins_are_out_of_sample(self, catalog):
+        _, truth = provider_batch(catalog, 50, seed=5)
+        trained = {link.local for link in catalog.links}
+        assert not trained & {local for _, local in truth}
 
-    def test_engine_metrics_populated(self, rows):
-        for row in rows:
-            assert row.compared > 0
-            assert row.pairs_per_second > 0
-            assert 0.0 <= row.cache_hit_rate <= 1.0
-            assert row.chunk_count >= 1
-            assert row.executor == "serial"
+    def test_seed_fixes_the_batch(self, catalog):
+        first, first_truth = provider_batch(catalog, 30, seed=5)
+        again, again_truth = provider_batch(catalog, 30, seed=5)
+        other, other_truth = provider_batch(catalog, 30, seed=6)
+        assert serialize_ntriples(first) == serialize_ntriples(again)
+        assert first_truth == again_truth
+        assert other_truth != first_truth
 
-    def test_matching_quality_reasonable(self, rows):
+    def test_size_caps_at_the_unseen_items(self, catalog):
+        trained = {link.local for link in catalog.links}
+        unseen = sum(1 for item in catalog.items if item.iri not in trained)
+        _, truth = provider_batch(catalog, unseen + 10, seed=5)
+        assert len(truth) == unseen
+
+    def test_prefix_blocking_links_a_batch_well(self, catalog):
+        field_map = {"pn": PART_NUMBER, "maker": MANUFACTURER}
+        graph, truth = provider_batch(catalog, 200)
+        result = LinkingJob(
+            StandardBlocking.on_field_prefix("pn", length=4),
+            RecordComparator(
+                [FieldComparator("pn", weight=2.0), FieldComparator("maker", weight=1.0)]
+            ),
+            ThresholdMatcher(match_threshold=0.9),
+            JobConfig(executor="serial", chunk_size=512),
+        ).run(
+            RecordStore.from_graph(graph, field_map),
+            RecordStore.from_graph(catalog.local_graph, field_map),
+        )
+        assert result.stats.executor == "serial"
+        assert result.compared > 0
+        assert 0.0 <= result.stats.cache_hit_rate <= 1.0
         # prefix blocking on lightly corrupted part numbers links well
-        assert rows[-1].f1 > 0.8
-
-    def test_format_is_one_line(self, rows):
-        assert "\n" not in rows[0].format()
+        assert result.matching_quality(truth).f1 > 0.8
 
 
 class TestGeneralization:

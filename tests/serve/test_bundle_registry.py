@@ -52,6 +52,17 @@ class TestConstruction:
         assert registry.names() == ("a", "b", "c")
 
 
+    @pytest.mark.parametrize("knob", ["multiplex_threshold", "multiplex_workers"])
+    def test_multiplex_knobs_are_gone(self, bundle_paths, knob):
+        with pytest.raises(TypeError, match=knob):
+            BundleRegistry(bundle_paths, **{knob: 2})
+
+    def test_there_is_no_bare_session_wrapper(self):
+        # a daemon is always built over a registry (serve_bundle names
+        # a single bundle "default")
+        assert not hasattr(BundleRegistry, "wrapping")
+
+
 class TestLazyOpenAndRouting:
     def test_sessions_open_on_first_use_only(self, bundle_paths):
         registry = BundleRegistry(bundle_paths)

@@ -1,6 +1,7 @@
 """The serve daemon over HTTP: concurrency, protocol errors, self-test."""
 
 import json
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from http.client import HTTPConnection
 
@@ -12,12 +13,16 @@ from repro.experiments.throughput import provider_batch
 from repro.index.artifacts import load_bundle, record_store_to_payload, write_bundle
 from repro.linking import RecordStore
 from repro.serve import (
+    BundleRegistry,
+    LinkDaemon,
     ServeError,
     build_bundle,
     link_response,
     request_json,
+    response_identity,
     run_self_test,
     serve_bundle,
+    serve_bundles,
 )
 
 SEED = 13
@@ -180,6 +185,47 @@ class TestConcurrentIdentity:
         assert second["sameas_ntriples"] == full["sameas_ntriples"]
 
 
+class TestResponseIdentity:
+    def test_projection_drops_only_the_executor(self):
+        response = {"matches": 3, "sameas_ntriples": "x", "executor": "shard"}
+        assert response_identity(response) == {"matches": 3, "sameas_ntriples": "x"}
+
+
+class TestOneAnswerPath:
+    """A daemon is built over a registry, and every request it answers
+    runs the session's single serial path."""
+
+    def test_first_parameter_is_a_registry(self):
+        hints = typing.get_type_hints(LinkDaemon.__init__)
+        assert hints["registry"] is BundleRegistry
+
+    def test_bare_session_is_refused(self, daemon):
+        with pytest.raises(TypeError, match="BundleRegistry"):
+            LinkDaemon(daemon.session)
+
+    @pytest.mark.parametrize("knob", ["multiplex_threshold", "multiplex_workers"])
+    def test_serve_bundle_takes_no_multiplex_knob(self, bundle_path, knob):
+        with pytest.raises(TypeError, match=knob):
+            serve_bundle(bundle_path, **{knob: 2})
+
+    @pytest.mark.parametrize("knob", ["multiplex_threshold", "multiplex_workers"])
+    def test_serve_bundles_takes_no_multiplex_knob(self, bundle_path, knob):
+        with pytest.raises(TypeError, match=knob):
+            serve_bundles({"default": bundle_path}, **{knob: 2})
+
+    def test_link_over_http_answers_like_the_session(self, daemon, link_payload):
+        host, port = daemon.address
+        external, payload = link_payload
+        expected = link_response(daemon.session.link(external))
+        answer = request_json(host, port, "POST", "/link", payload)
+        assert answer["executor"] == expected["executor"] == "serial"
+        assert response_identity(answer) == response_identity(expected)
+        assert answer["matches"] > 0
+        session_stats = request_json(host, port, "GET", "/stats")["sessions"]["default"]
+        assert "multiplex" not in session_stats
+        assert "work_units" not in session_stats
+
+
 class TestOlderBundleFormat:
     def test_use_index_false_bundle_answers_like_a_fresh_one(
         self, tmp_path, bundle_path, daemon, link_payload
@@ -220,3 +266,16 @@ class TestSelfTest:
         assert report["matches"] > 0
         assert report["warm_p50_seconds"] > 0
         assert report["cold_seconds"] > 0
+
+    def test_self_test_reports_one_serial_path(self, bundle_path, daemon):
+        report = run_self_test(
+            bundle_path, items=20, requests=2, workers=2, daemon=daemon
+        )
+        assert report["identical"] is True
+        assert report["executors"] == ["serial"]
+        assert "multiplex_threshold" not in report
+        assert "multiplexed_requests" not in report
+
+    def test_self_test_takes_no_multiplex_threshold(self, bundle_path):
+        with pytest.raises(TypeError, match="multiplex_threshold"):
+            run_self_test(bundle_path, multiplex_threshold=40)

@@ -58,6 +58,16 @@ class TestUnknownTargets:
             assert status == 404
             assert "unknown path" in body["error"]
 
+    @pytest.mark.parametrize("method", ["GET", "POST"])
+    def test_work_endpoint_is_gone(self, daemon, method):
+        host, port = daemon.address
+        status, _, body = request_raw(
+            host, port, method, "/work",
+            payload={"format": "repro-shard-work-unit"} if method == "POST" else None,
+        )
+        assert status == 404
+        assert body == {"error": "unknown path '/work'"}
+
     def test_unknown_bundle_is_404(self, daemon):
         status, _, body = _post(
             daemon, "/link", payload={"records": [], "bundle": "nope"}

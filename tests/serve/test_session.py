@@ -111,21 +111,6 @@ class TestWarmIdentity:
 
 
 class TestThreadSafetyInvariant:
-    def test_session_refuses_unsafe_comparator(self, materials, monkeypatch):
-        import repro.engine as engine
-
-        real = engine.CachedRecordComparator
-
-        class UnsafeComparator(real):
-            @property
-            def thread_safe(self):
-                return False
-
-        monkeypatch.setattr(engine, "CachedRecordComparator", UnsafeComparator)
-        bundle_path, _, _ = materials
-        with pytest.raises(ServeError, match="thread-safe"):
-            LinkSession(load_bundle(bundle_path))
-
     def test_session_comparator_is_thread_safe(self, session):
         assert session.comparator.thread_safe
         assert session.stats()["cache"]["thread_safe"] is True
@@ -175,6 +160,53 @@ class TestStats:
         assert stats["requests"] == 1
         assert stats["cache"]["capacity"] > 0
         assert 0.0 <= stats["cache"]["hit_rate"] <= 1.0
+
+
+class TestOneAnswerPath:
+    """Every request runs ``JobConfig(executor="serial")``: there is no
+    size-routed second path, no per-request job config and no
+    work-unit entry point."""
+
+    def test_large_link_batches_run_serially(self, session, materials):
+        _, _, external = materials
+        assert len(external) == 40
+        result = session.link(external)
+        assert result.stats.executor == "serial"
+        assert link_response(result)["executor"] == "serial"
+
+    def test_delta_streams_run_serially(self, session, materials):
+        _, _, external = materials
+        session.delta("serial", list(external))
+        assert session.stream_result("serial").stats.executor == "serial"
+
+    @pytest.mark.parametrize("knob", ["multiplex_threshold", "multiplex_workers"])
+    def test_multiplex_knobs_are_gone(self, materials, knob):
+        bundle_path, _, _ = materials
+        with pytest.raises(TypeError, match=knob):
+            LinkSession(load_bundle(bundle_path), **{knob: 2})
+
+    def test_link_takes_no_job_config(self, session, materials):
+        _, _, external = materials
+        with pytest.raises(TypeError, match="job_config"):
+            session.link(external, job_config=JobConfig(executor="serial"))
+
+    def test_delta_takes_no_job_config(self, session, materials):
+        _, _, external = materials
+        with pytest.raises(TypeError, match="job_config"):
+            session.delta(
+                "s1", list(external), job_config=JobConfig(executor="serial")
+            )
+        assert session.stream_count == 0
+
+    def test_stats_carry_no_multiplex_or_work_counters(self, session, materials):
+        _, _, external = materials
+        session.link(external)
+        assert set(session.stats()) == {
+            "records", "blocking", "match_threshold", "indexes", "rules",
+            "requests", "streams", "cache",
+        }
+        for gone in ("run_work_unit", "multiplexed_count", "multiplex_threshold"):
+            assert not hasattr(session, gone)
 
 
 class TestWarmLearning:

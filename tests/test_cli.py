@@ -23,10 +23,17 @@ class TestParser:
             build_parser().parse_args(["bench"])
         assert "invalid choice: 'bench'" in capsys.readouterr().err
 
+    def test_throughput_command_is_retired(self, capsys):
+        # the engine's speed is measured by perf/run.py's link workloads
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["throughput"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'throughput'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command",
         ["table1", "stats", "sweeps", "blocking", "generalization",
-         "generality", "link", "throughput", "export-rules"],
+         "generality", "link", "export-rules"],
     )
     def test_commands_parse(self, command):
         args = build_parser().parse_args([command])
@@ -315,16 +322,6 @@ class TestExecution:
         assert "unknown scenario" in err
         assert "registered:" in err
 
-    def test_throughput_tiny(self, capsys):
-        code = main(
-            ["throughput", "--preset", "tiny", "--sizes", "30", "60",
-             "--executor", "serial"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "A5 linking throughput" in out
-        assert "pairs/s" in out
-
 
 class TestArtifactsCommand:
     def test_artifacts_flags_parse(self):
@@ -339,7 +336,7 @@ class TestArtifactsCommand:
 
     @pytest.mark.parametrize(
         "argv",
-        (["link"], ["throughput"], ["artifacts", "build", "--bundle", "b"]),
+        (["link"], ["artifacts", "build", "--bundle", "b"]),
     )
     def test_index_toggle_is_gone(self, argv, capsys):
         """Blocking has one candidate path, so there is no index/scan
@@ -410,14 +407,22 @@ class TestServeCommand:
     def test_serve_concurrency_flags_parse(self):
         args = build_parser().parse_args(
             ["serve", "--bundle", "a=x", "--bundle", "b=y",
-             "--queue-workers", "2", "--queue-depth", "8",
-             "--multiplex-threshold", "500", "--multiplex-workers", "3"]
+             "--queue-workers", "2", "--queue-depth", "8"]
         )
         assert args.bundle == ["a=x", "b=y"]
         assert args.queue_workers == 2
         assert args.queue_depth == 8
-        assert args.multiplex_threshold == 500
-        assert args.multiplex_workers == 3
+
+    @pytest.mark.parametrize(
+        "flag", ["--multiplex-threshold", "--multiplex-workers"]
+    )
+    def test_serve_multiplex_flags_are_gone(self, flag, capsys):
+        """Every request runs serially, so there is no multiplexing
+        knob left: the old flags are usage errors (exit 2)."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--bundle", "b", flag, "40"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_serve_bundle_specs_parse(self):
         from repro.cli import _parse_bundle_specs
