@@ -17,8 +17,8 @@ One indexed representation backs all four consuming layers:
 The learning side's primitives are an interned
 :class:`FeatureVocabulary` (features → dense int ids) and sorted-int
 :class:`PostingList`\\ s supporting intersection, union, count and
-incremental append. The record side only reads whole postings, so it
-keeps a plain dict of int lists.
+incremental append. The record side only reads or bisects whole
+postings, so it keeps a plain dict of int lists.
 """
 
 from repro.index.inverted import IndexStats, InvertedIndex

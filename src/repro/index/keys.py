@@ -1,15 +1,16 @@
 """Record-side inverted key indexes shared across blocking methods.
 
-Blocking methods derive key material from records (q-gram sub-lists,
-key prefixes, phonetic codes...) and need, per key, the local records
+Blocking methods derive key material from records (q-grams, key
+prefixes, phonetic codes...) and need, per key, the local records
 carrying it. :class:`RecordKeyIndex` builds that once per store: a plain
 dict from key to the list of record *ordinals* (positions in store
 order) carrying it, so candidates come out in store order.
 
-The record side never intersects or unions its postings (it only reads
-them whole), so it skips the interned vocabulary and the
-:class:`~repro.index.postings.PostingList` wrapper the training side
-needs: a dict of int lists is the cheapest structure to build.
+The record side never intersects or unions its postings (it reads them
+whole, or bisects them for one ordinal), so it skips the interned
+vocabulary and the :class:`~repro.index.postings.PostingList` wrapper
+the training side needs: a dict of int lists is the cheapest structure
+to build.
 
 :func:`shared_record_index` memoizes indexes per
 :class:`~repro.linking.records.RecordStore` (weakly, so stores stay
@@ -39,7 +40,7 @@ class RecordKeyIndex:
     ``postings`` maps each key to the strictly increasing ordinals of
     the records carrying it; ``ids`` maps an ordinal back to its id.
 
-    >>> index = RecordKeyIndex.build(local_store, keys_for=qgram_keys)
+    >>> index = RecordKeyIndex.build(local_store, keys_for=prefix_keys)
     >>> list(index.candidates("crcw"))
     [EX.p1, EX.p7]
     """
@@ -86,6 +87,11 @@ class RecordKeyIndex:
     def candidates(self, key: str) -> Iterable[Term]:
         """Record ids indexed under *key*, in store order."""
         return map(self._ids.__getitem__, self._postings.get(key, ()))
+
+    def ordinals(self, key: str) -> Sequence[int]:
+        """The strictly increasing record ordinals indexed under *key*
+        (empty when absent) — the posting itself, so read-only."""
+        return self._postings.get(key, ())
 
     def id_of(self, ordinal: int) -> Term:
         """The record id at *ordinal* (store order at build time)."""

@@ -21,8 +21,11 @@ Key-driven methods (standard and q-gram blocking) have one candidate
 path: they read a :class:`~repro.index.RecordKeyIndex` over the local
 store — the shared one, built once per (store, key derivation) and
 reused across runs, when the key has a cache signature, else a private
-build per run. :class:`RuleBasedBlocking` batch-probes the classifier's
-rule index. The scan implementations these replaced live on as test
+build per run. Q-gram blocking indexes single grams, not Baxter's
+sub-lists, and counts common grams per candidate, which decides the
+same pairs. Canopy blocking indexes the (few) centers' q-gram profiles
+per run. :class:`RuleBasedBlocking` batch-probes the classifier's rule
+index. The scan implementations these replaced live on as test
 oracles (``tests/oracles/blocking.py``), and the tests assert every
 method emits exactly their candidate pair sequences.
 
@@ -38,10 +41,12 @@ Each class has its own partitioning argument:
   off the shared key index inform the plan's balance); the **full
   index** and **rule-based blocking** shard on the external record id
   (each external record is its own block);
-* **q-gram blocking** shards on the expanded sub-list key. One pair can
-  co-occur under several keys, so ownership follows the serial dedup
-  rule: the pair belongs to the external record's *first* sorted key
-  whose posting contains the local record — every other key skips it;
+* **q-gram blocking** shards on the sub-list key, though it never
+  builds one. One pair can co-occur under several keys, so ownership
+  follows the serial dedup rule: the pair belongs to the external
+  record's *first* sorted key the local record shares — the join of
+  their ``keep`` smallest common grams — and the plan hash-balances on
+  that key;
 * **sorted-neighbourhood** cuts the sorted order into one contiguous
   position segment per shard; a segment owns the window pairs whose
   *later* position falls inside it and reaches back ``window-1``
@@ -50,8 +55,9 @@ Each class has its own partitioning argument:
   still in circulation at a center depends only on that local's own
   similarities (it leaves right after the first ``tight`` center's
   sweep), so a worker owning a local replays its whole serial life —
-  scan centers in order, emit ``loose`` pairs, stop at the first
-  ``tight`` one — with no serial pre-pass at all.
+  visit the centers sharing a gram with it in order (every center when
+  ``loose == 0``), emit ``loose`` pairs, stop at the first ``tight``
+  one — with no serial pre-pass at all.
 
 Each rule assigns every pair exactly one owner, so shard outputs merge
 back into the exact serial emission order (the engine's byte-identity
@@ -60,9 +66,9 @@ guarantee — see :mod:`repro.engine.shard`).
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
-import itertools
 import math
 import time
 from abc import ABC, abstractmethod
@@ -72,7 +78,6 @@ from typing import (
     Dict,
     Iterator,
     List,
-    Set,
     Tuple,
     Union,
 )
@@ -85,7 +90,7 @@ from repro.ontology.model import Ontology
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Term
 from repro.text.normalize import normalize_value
-from repro.text.similarity import qgram_cosine_similarity
+from repro.text.similarity import qgram_profile_normed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (engine imports us)
     from repro.engine.shard import ShardPlan
@@ -396,18 +401,21 @@ class QGramBlocking(BlockingMethod):
     """Bi-gram (q-gram) indexing as sketched by Baxter et al.
 
     Each value is turned into its sorted list of q-grams; sub-lists of
-    length ``ceil(len * threshold)`` (all combinations) are generated and
-    inserted into an inverted index. Records sharing at least one
-    sub-list key become candidates. ``threshold=1.0`` degenerates into
-    exact q-gram-set blocking.
+    length ``keep = ceil(len * threshold)`` (all combinations) are the
+    blocking keys, and records sharing at least one sub-list key become
+    candidates. ``threshold=1.0`` degenerates into exact q-gram-set
+    blocking.
 
-    ``max_grams`` caps the combinatorial explosion on long values (the
-    classic implementations do the same).
+    ``max_grams`` caps the gram list of long values (the classic
+    implementations do the same).
 
-    The local store's sub-list inverted index is a shared
-    :class:`~repro.index.RecordKeyIndex` keyed on the full q-gram
-    configuration, so repeated jobs against the same catalog skip the
-    rebuild.
+    The sub-lists are never built. Grams of one record have one length
+    (a value shorter than ``q`` is its own single gram), so joins of
+    sorted grams are injective: two records share a sub-list key iff
+    they have the same ``keep`` and at least ``keep`` common grams. The
+    local store's shared :class:`~repro.index.RecordKeyIndex` therefore
+    posts each record under ``f"{keep}:{gram}"`` for its grams, and a
+    probe counts common grams per local record.
     """
 
     def __init__(
@@ -429,48 +437,51 @@ class QGramBlocking(BlockingMethod):
         self._max_grams = max_grams
         self._last_index_stats: IndexStats | None = None
 
-    def _keys(self, record: Record) -> List[str]:
-        """Sub-list keys of a record, in sorted (deterministic) order.
-
-        Key order drives candidate emission order, which best-match
-        tie-breaking downstream depends on — sorted keys keep runs
-        byte-identical across processes (hash randomization would
-        otherwise reorder a set).
-        """
+    def _grams(self, record: Record) -> Tuple[List[str], int]:
+        """A record's sorted, truncated q-grams and its sub-list length."""
         value = normalize_value(record.value(self._field))
         if not value:
-            return []
+            return [], 0
         grams = sorted(
             {value[i:i + self._q] for i in range(max(1, len(value) - self._q + 1))}
         )[: self._max_grams]
-        keep = max(1, math.ceil(len(grams) * self._threshold))
-        if keep >= len(grams):
-            return ["".join(grams)]
-        return sorted(
-            {"".join(combo) for combo in itertools.combinations(grams, keep)}
-        )
+        keep = min(len(grams), max(1, math.ceil(len(grams) * self._threshold)))
+        return grams, keep
+
+    def _keys(self, record: Record) -> List[str]:
+        """Gram keys of a record: its sub-list length, then one gram.
+
+        The length prefix keeps records of different ``keep`` apart,
+        as their sub-list keys never coincide.
+        """
+        grams, keep = self._grams(record)
+        return [f"{keep}:{gram}" for gram in grams]
 
     def index_stats(self) -> IndexStats | None:
         return self._last_index_stats
 
     def _signature(self) -> str:
-        """Shared-index cache key: the full q-gram configuration."""
-        return f"qgram:{self._field}:{self._q}:{self._threshold}:{self._max_grams}"
+        """Shared-index cache key: the full q-gram configuration. Gram
+        postings are not the sub-list postings a ``qgram:`` index of an
+        older bundle holds, so they carry a signature of their own."""
+        return f"qgram-grams:{self._field}:{self._q}:{self._threshold}:{self._max_grams}"
 
     def _local_index(self, local: RecordStore) -> RecordKeyIndex:
-        """The local store's shared sub-list index."""
+        """The local store's shared gram index."""
         return shared_record_index(local, self._signature(), self._keys)
 
     def shard_block_sizes(
         self, external: RecordStore, local: RecordStore
     ) -> Dict[str, int]:
-        """Per-sub-list-key posting sizes for the plan's LPT balance.
+        """No block sizes: the plan hash-balances on sub-list keys,
+        which are never materialized.
 
-        This also warms the shared per-store index *before* the engine
+        This still warms the shared per-store index *before* the engine
         forks its shard workers, so every worker inherits the postings
         instead of rebuilding them.
         """
-        return self._local_index(local).key_sizes()
+        self._local_index(local)
+        return {}
 
     def shard_candidate_pairs(
         self,
@@ -483,32 +494,52 @@ class QGramBlocking(BlockingMethod):
         co-occurs under several of a record's keys is owned by the
         *first* sorted key whose posting contains the local record —
         exactly the occurrence the unsharded dedup set keeps — so
-        every pair is generated by exactly one shard."""
+        every pair is generated by exactly one shard.
+
+        That first key is the join of the ``keep`` smallest common
+        grams, and its index among the record's sorted sub-list keys
+        is the lexicographic rank of their positions. Serial order is
+        key-major, then local store order, so ``(ordinal, key index)``
+        groups sorted by local ordinal replay the serial dedup sweep."""
         index = self._local_index(local)
         probe_seconds = 0.0
         for ordinal, record in enumerate(external):
             started = time.perf_counter()
-            keys = self._keys(record)
-            owned = {
-                key_index for key_index, key in enumerate(keys)
-                if plan is None or plan.shard_of(key) == shard
-            }
-            # replay the record's keys up to its last owned one so the
-            # dedup set sees every earlier occurrence of a local id,
-            # but emit only the fresh pairs of owned keys — the serial
-            # seen-set dedup, restated as an ownership rule
-            fresh: List[ShardedPair] = []
-            seen: Set[Term] = set()
-            for key_index in range(max(owned, default=-1) + 1):
-                fresh_here = key_index in owned
-                for local_id in index.candidates(keys[key_index]):
-                    if local_id in seen:
-                        continue
-                    seen.add(local_id)
-                    if fresh_here:
-                        fresh.append(((ordinal, key_index), record.id, local_id))
+            grams, keep = self._grams(record)
+            slack = len(grams) - keep
+            postings = [index.ordinals(f"{keep}:{gram}") for gram in grams]
+            # pigeonhole: a local holding keep of the n grams holds one
+            # of any n - keep + 1 of them — walk the rarest, bisect the rest
+            by_size = sorted(range(len(grams)), key=[len(p) for p in postings].__getitem__)
+            rare, frequent = by_size[: slack + 1], by_size[slack + 1:]
+            common: Dict[int, List[int]] = {}
+            for at in rare:
+                for local_ordinal in postings[at]:
+                    common.setdefault(local_ordinal, []).append(at)
+            fresh: List[Tuple[int, int]] = []
+            for local_ordinal, shared in common.items():
+                misses = slack + 1 - len(shared)
+                for at in frequent:
+                    if misses > slack:
+                        break
+                    posting = postings[at]
+                    found = bisect.bisect_left(posting, local_ordinal)
+                    if found < len(posting) and posting[found] == local_ordinal:
+                        shared.append(at)
+                    else:
+                        misses += 1
+                if misses > slack:
+                    continue  # fewer than keep common grams
+                first = sorted(shared)[:keep]
+                if plan is not None and plan.shard_of(
+                    "".join(grams[at] for at in first)
+                ) != shard:
+                    continue
+                fresh.append((_combination_rank(first, len(grams)), local_ordinal))
+            fresh.sort()
             probe_seconds += time.perf_counter() - started
-            yield from fresh
+            for key_index, local_ordinal in fresh:
+                yield (ordinal, key_index), record.id, index.id_of(local_ordinal)
         index.probed(probe_seconds)
         # per-run report: one-time build cost, this run's probe time
         self._last_index_stats = dataclasses.replace(
@@ -516,13 +547,30 @@ class QGramBlocking(BlockingMethod):
         )
 
 
+def _combination_rank(positions: List[int], n: int) -> int:
+    """Lexicographic rank of the ascending *positions* among all
+    ``len(positions)``-combinations of ``range(n)``: the index of their
+    join among a record's sorted sub-list keys."""
+    rank, start = 0, 0
+    rest = len(positions)
+    for position in positions:
+        rest -= 1
+        for skipped in range(start, position):
+            rank += math.comb(n - 1 - skipped, rest)
+        start = position + 1
+    return rank
+
+
 class CanopyBlocking(BlockingMethod):
     """Canopy clustering with a cheap q-gram cosine similarity.
 
-    Local records are indexed; each external record seeds a canopy of
-    local records within ``loose`` similarity. The classic tight/loose
-    two-threshold scheme removes locals within ``tight`` similarity from
-    future canopies, bounding redundancy.
+    Each external record seeds a canopy of local records within
+    ``loose`` similarity. The classic tight/loose two-threshold scheme
+    removes locals within ``tight`` similarity from future canopies,
+    bounding redundancy. The external side is the small one, so the
+    centers' padded q-gram count profiles are indexed and each local
+    record accumulates its dot products from the postings of its own
+    grams.
     """
 
     def __init__(
@@ -536,6 +584,8 @@ class CanopyBlocking(BlockingMethod):
             raise ValueError(
                 f"need 0 <= loose <= tight <= 1, got loose={loose}, tight={tight}"
             )
+        if q < 1:
+            raise ValueError(f"q must be >= 1, got {q}")
         self._field = field_name
         self._loose = loose
         self._tight = tight
@@ -554,30 +604,47 @@ class CanopyBlocking(BlockingMethod):
         only on that local's own similarities, never on another local's
         removal — so a worker owning a local can replay its whole
         life: scan the centers in ordinal order, emit every ``loose``
-        pair, stop at the first ``tight`` one. The work of the sweep
-        is partitioned exactly (no extra similarity is ever computed)
-        and every pair is emitted by exactly the one worker owning its
-        local record. Per-local work is unknown until the sims are
-        computed (an early-claimed local is cheap), so locals balance
-        by stable hash of their id."""
+        pair, stop at the first ``tight`` one. Every pair is emitted by
+        exactly the one worker owning its local record. Per-local work
+        is unknown until the sims are computed (an early-claimed local
+        is cheap), so locals balance by stable hash of their id.
+
+        The similarities are ``qgram_cosine_similarity``'s own: the
+        integer dot products over the same memoized profiles, divided
+        by the same norms. A center sharing no gram with a local has
+        similarity 0.0, so it is only visited when ``loose == 0``."""
         # The sweep's emission order is center-major: center ordinal,
         # then local store order within the center's canopy, so
         # (ordinal, local position) sorts pairs exactly as the sweep
         # yields them — and the key is unique per pair, trivially owned
         # by its local's shard.
-        centers = [
-            (ordinal, record.id, normalize_value(record.value(self._field)))
-            for ordinal, record in enumerate(external)
-        ]
+        centers: List[Tuple[int, Term, float]] = []
+        postings: Dict[str, List[Tuple[int, int]]] = {}
+        for ordinal, record in enumerate(external):
+            value = normalize_value(record.value(self._field))
+            if not value:
+                continue  # empty centers neither pair nor claim
+            profile, norm = qgram_profile_normed(value, self._q)
+            for gram, count in profile.items():
+                postings.setdefault(gram, []).append((len(centers), count))
+            centers.append((ordinal, record.id, norm))
+        every_center = range(len(centers))
         owned: List[ShardedPair] = []
         for position, record in enumerate(local):
             if plan is not None and plan.shard_of(str(record.id)) != shard:
                 continue
-            local_value = normalize_value(record.value(self._field))
-            for ordinal, ext_id, value in centers:
-                if not value:
-                    continue  # empty centers neither pair nor claim
-                sim = qgram_cosine_similarity(value, local_value, q=self._q)
+            profile, norm = qgram_profile_normed(
+                normalize_value(record.value(self._field)), self._q
+            )
+            dots: Dict[int, int] = {}
+            for gram in profile.keys() & postings.keys():
+                count = profile[gram]
+                for center, center_count in postings[gram]:
+                    dots[center] = dots.get(center, 0) + count * center_count
+            for center in every_center if self._loose == 0 else sorted(dots):
+                ordinal, ext_id, center_norm = centers[center]
+                # an empty local profile (q == 1) has norm 0: sim 0.0
+                sim = dots.get(center, 0) / (center_norm * norm) if norm else 0.0
                 if sim >= self._loose:
                     owned.append(((ordinal, position), ext_id, record.id))
                 if sim >= self._tight:

@@ -31,6 +31,7 @@ from repro.text.similarity import (
     jaccard_similarity,
     dice_similarity,
     qgram_profile,
+    qgram_profile_normed,
     qgram_cosine_similarity,
     monge_elkan_similarity,
     TfIdfVectorizer,
@@ -60,6 +61,7 @@ __all__ = [
     "jaccard_similarity",
     "dice_similarity",
     "qgram_profile",
+    "qgram_profile_normed",
     "qgram_cosine_similarity",
     "monge_elkan_similarity",
     "TfIdfVectorizer",

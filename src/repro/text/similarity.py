@@ -169,13 +169,15 @@ def qgram_profile(text: str, q: int = 2, pad: bool = True) -> Counter:
 
 
 @lru_cache(maxsize=8192)
-def _qgram_profile_normed(text: str, q: int) -> Tuple[Dict[str, int], float]:
-    """Memoized (profile, L2 norm) for the cosine hot path.
+def qgram_profile_normed(text: str, q: int) -> Tuple[Dict[str, int], float]:
+    """Memoized (padded profile, L2 norm) behind ``qgram_cosine_similarity``.
 
     Blocking and canopy clustering compare one value against a whole
     block, so one side repeats across thousands of calls; rebuilding the
-    Counter each time dominated ``qgram_cosine_similarity``. The cached
-    dict is shared — callers must treat it as read-only.
+    Counter each time dominated the cosine. Canopy blocking also indexes
+    these profiles directly, so its integer dot products and norms are
+    exactly the cosine's. The cached dict is shared — callers must treat
+    it as read-only.
     """
     profile = qgram_profile(text, q)
     norm = math.sqrt(sum(count * count for count in profile.values()))
@@ -184,8 +186,8 @@ def _qgram_profile_normed(text: str, q: int) -> Tuple[Dict[str, int], float]:
 
 def qgram_cosine_similarity(a: str, b: str, q: int = 2) -> float:
     """Cosine between q-gram count vectors; 1.0 when both empty."""
-    profile_a, norm_a = _qgram_profile_normed(a, q)
-    profile_b, norm_b = _qgram_profile_normed(b, q)
+    profile_a, norm_a = qgram_profile_normed(a, q)
+    profile_b, norm_b = qgram_profile_normed(b, q)
     if not profile_a and not profile_b:
         return 1.0
     if not profile_a or not profile_b:

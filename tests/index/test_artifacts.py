@@ -52,6 +52,7 @@ from repro.linking import (
 )
 from repro.rdf import EX, serialize_ntriples
 from repro.rdf.terms import XSD_INTEGER, BNode, IRI, Literal
+from tests.oracles import blocking as blocking_oracle
 
 
 @pytest.fixture(scope="module")
@@ -176,28 +177,97 @@ def test_bundle_round_trip_is_byte_identical(
     assert reloaded == original
 
 
-def test_seeded_indexes_are_not_rebuilt(tmp_path, materials):
+def count_key_index_builds(monkeypatch):
+    """Count every :meth:`RecordKeyIndex.build` from here on."""
+    builds = []
+    build = RecordKeyIndex.build.__func__
+
+    def counted(cls, store, keys_for):
+        builds.append(store)
+        return build(cls, store, keys_for)
+
+    monkeypatch.setattr(RecordKeyIndex, "build", classmethod(counted))
+    return builds
+
+
+@pytest.mark.parametrize(
+    "blocking_name, signature",
+    [("prefix", "prefix:pn:4"), ("qgram", "qgram-grams:pn:2:0.8:12")],
+)
+def test_seeded_indexes_are_not_rebuilt(
+    tmp_path, materials, monkeypatch, blocking_name, signature
+):
     _, _, external, local, rules = materials
     shared_index_cache_clear()
     # warm the shared cache, snapshot it into a bundle
-    run_link(
-        blocking_factory("prefix", None, None, None), external, local, "pairwise"
+    original = run_link(
+        blocking_factory(blocking_name, None, None, None), external, local, "pairwise"
     )
     snapshot = shared_index_snapshot(local)
-    assert "prefix:pn:4" in snapshot
+    assert signature in snapshot
     write_bundle(tmp_path / "bundle", store=local, indexes=snapshot)
 
     bundle = load_bundle(tmp_path / "bundle")
     shared_index_cache_clear()
     bundle.seed_shared_indexes()
-    seeded = shared_index_snapshot(bundle.store)["prefix:pn:4"]
+    seeded = shared_index_snapshot(bundle.store)[signature]
     from repro.index import shared_record_index
 
     reused = shared_record_index(
-        bundle.store, "prefix:pn:4", lambda record: ()
+        bundle.store, signature, lambda record: ()
     )  # the key function must never run: the seeded index answers
     assert reused is seeded
-    assert reused.key_sizes() == snapshot["prefix:pn:4"].key_sizes()
+    assert reused.key_sizes() == snapshot[signature].key_sizes()
+    # and a whole job over the seeded store builds no key index
+    builds = count_key_index_builds(monkeypatch)
+    reloaded = run_link(
+        blocking_factory(blocking_name, None, None, None),
+        external,
+        bundle.store,
+        "pairwise",
+    )
+    assert reloaded == original
+    assert builds == []
+
+
+def test_sub_list_qgram_bundle_builds_the_gram_index_once(
+    tmp_path, materials, monkeypatch
+):
+    """A bundle written before q-gram blocking indexed single grams
+    carries a ``qgram:`` sub-list index. It still loads and links
+    byte-identically: the gram index has its own signature, so the
+    sub-list postings are never read as gram postings, and it is built
+    once, on the first job."""
+    _, _, external, local, _ = materials
+    shared_index_cache_clear()
+    original = run_link(
+        blocking_factory("qgram", None, None, None), external, local, "pairwise"
+    )
+    sub_lists = RecordKeyIndex.build(
+        local, blocking_oracle.qgram_keys("pn", 2, 0.8, 12)
+    )
+    write_bundle(
+        tmp_path / "bundle", store=local, indexes={"qgram:pn:2:0.8:12": sub_lists}
+    )
+
+    bundle = load_bundle(tmp_path / "bundle")
+    shared_index_cache_clear()
+    bundle.seed_shared_indexes()
+    assert set(shared_index_snapshot(bundle.store)) == {"qgram:pn:2:0.8:12"}
+    builds = count_key_index_builds(monkeypatch)
+    for _ in range(2):
+        reloaded = run_link(
+            blocking_factory("qgram", None, None, None),
+            external,
+            bundle.store,
+            "pairwise",
+        )
+        assert reloaded == original
+    assert builds == [bundle.store]
+    assert set(shared_index_snapshot(bundle.store)) == {
+        "qgram:pn:2:0.8:12",
+        "qgram-grams:pn:2:0.8:12",
+    }
 
 
 class TestKeyIndexPayload:

@@ -155,6 +155,19 @@ class TestQGramBlocking:
         blocking = QGramBlocking("pn")
         assert set(blocking.candidate_pairs(ext, loc)) == set()
 
+    def test_block_sizes_warm_the_gram_index(self):
+        """Sub-list keys are never built, so there are no block sizes to
+        report; the call still builds the shared index, one key per
+        (sub-list length, gram)."""
+        from repro.index import shared_index_cache_clear, shared_index_snapshot
+
+        shared_index_cache_clear()
+        loc = store(("l1", "abc"), ("l2", "abd"))
+        blocking = QGramBlocking("pn", q=2, threshold=0.5)
+        assert blocking.shard_block_sizes(RecordStore(), loc) == {}
+        index = shared_index_snapshot(loc)["qgram-grams:pn:2:0.5:12"]
+        assert index.key_sizes() == {"1:ab": 2, "1:bc": 1, "1:bd": 1}
+
 
 class TestCanopyBlocking:
     def test_similar_in_canopy(self, external, local):
@@ -175,6 +188,11 @@ class TestCanopyBlocking:
     def test_loose_zero_tight_validation(self):
         with pytest.raises(ValueError):
             CanopyBlocking("pn", loose=0.9, tight=0.5)
+
+    def test_q_validation(self):
+        # rejected at construction, not later inside a shard worker
+        with pytest.raises(ValueError, match="q must be >= 1, got 0"):
+            CanopyBlocking("pn", q=0)
 
 
 class TestRuleBasedBlocking:

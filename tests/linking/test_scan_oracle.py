@@ -15,11 +15,12 @@ pair set:
 Families: the full index; prefix blocking (shared index) and standard
 blocking on unsigned keys (private per-run index); sorted neighbourhood
 over window sizes 2-6; q-gram blocking over several ``q`` / threshold /
-``max_grams`` settings; canopy blocking over ``loose`` / ``tight``
-pairs (equal ones and ``tight == 1.0`` included) and ``q`` 1-3; and
-rule-based blocking with ``fallback_full`` both ways. Stores are random
-over a small vocabulary so keys collide, records share several q-gram
-keys (the dedup path), canopies overlap and empty values occur.
+``max_grams`` settings, on values long enough to truncate; canopy
+blocking over ``loose`` / ``tight`` pairs (equal ones and ``tight ==
+1.0`` included) and ``q`` 1-3; and rule-based blocking with
+``fallback_full`` both ways. Stores are random over a small vocabulary
+so keys collide, records share several q-gram keys (the dedup path),
+canopies overlap and empty values occur.
 """
 
 import functools
@@ -54,9 +55,22 @@ VALUES = st.one_of(
 )
 
 
+#: Values long enough for ``max_grams=12`` to truncate while
+#: ``keep < n``: about 20 characters, from a small alphabet so that long
+#: values still share most of their smallest grams.
+LONG_VALUES = st.one_of(
+    VALUES,
+    st.sampled_from(
+        ("crcw0805-10k-ohm-1pct", "crcw0805-10k-ohm-5pct", "crcw0805-22k-ohm-1pct",
+         "t83-220-uf-10v-bulk", "t83-220-uf-16v-bulk")
+    ),
+    st.text(alphabet="ab-é1 ", min_size=9, max_size=20),
+)
+
+
 @st.composite
-def record_stores(draw, prefix, max_size=10):
-    values = draw(st.lists(VALUES, max_size=max_size))
+def record_stores(draw, prefix, max_size=10, values=VALUES):
+    values = draw(st.lists(values, max_size=max_size))
     return RecordStore(
         Record(id=EX[f"{prefix}{index}"], fields={"pn": (value,)} if value else {})
         for index, value in enumerate(values)
@@ -127,10 +141,12 @@ def test_unsigned_key_blocking_equals_scan(external, local, name):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    external=record_stores("e"),
-    local=record_stores("l"),
+    external=record_stores("e", values=LONG_VALUES),
+    local=record_stores("l", values=LONG_VALUES),
     q=st.sampled_from((1, 2, 3)),
-    threshold=st.sampled_from((0.3, 0.5, 0.8, 1.0)),
+    # 0.7 and 0.75 land n * threshold exactly on an integer for some n
+    # (0.7 * 10 == 7.0, 0.75 * 4 == 3.0), where ceil must not round up
+    threshold=st.sampled_from((0.3, 0.5, 0.7, 0.75, 0.8, 1.0)),
     max_grams=st.sampled_from((3, 4, 8, 12)),
 )
 def test_qgram_blocking_equals_scan(external, local, q, threshold, max_grams):

@@ -5,8 +5,8 @@ byte-identical ``LinkingResult``s (the ``worker`` leg lives in
 ``test_worker_executor.py``). The engine unit tests pin
 this on synthetic workloads; here it is pinned on real registered
 scenarios — a key-blocked one, a rule-driven one (whose blocking shards
-on the external id) and a q-gram one (whose blocking shards on the
-expanded sub-list keys) — by comparing full deterministic snapshots
+on the external id) and a q-gram one (whose blocking shards on each
+pair's first shared sub-list key) — by comparing full deterministic snapshots
 (which embed the match digest) against the serial leg. A stats-level
 layer additionally pins that no registered blocking method degrades
 out of the shard executor on scenario workloads.
