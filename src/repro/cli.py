@@ -15,7 +15,7 @@ service, and a rule export utility:
 * ``scenarios`` — list or run the scenario workload matrix (batch +
   streaming legs with the byte-identity check and metric envelopes);
 * ``artifacts`` — build or inspect a warm-start bundle;
-* ``serve`` — host bundles behind the HTTP linking daemon;
+* ``serve`` — host one bundle behind the HTTP linking daemon;
 * ``worker`` — execute one serialized shard work unit;
 * ``export-rules`` — learn on a preset catalog and write the rules as
   JSON or Turtle.
@@ -176,6 +176,25 @@ def _non_negative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
+
+
+class _OneBundle(argparse.Action):
+    """``serve --bundle DIR``: one daemon hosts one unnamed bundle, so a
+    second ``--bundle`` or a ``NAME=DIR`` spec is a usage error rather
+    than a silently dropped bundle."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(
+                self, "given twice; one daemon hosts one bundle, so start "
+                "one daemon per bundle"
+            )
+        if "=" in value:
+            raise argparse.ArgumentError(
+                self, f"{value!r} is a NAME=DIR spec; a daemon's one bundle is not "
+                "named, so pass the directory alone"
+            )
+        setattr(namespace, self.dest, value)
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
@@ -445,45 +464,16 @@ def _cmd_artifacts(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_bundle_specs(specs):
-    """``[NAME=]DIR`` serve specs → ``(name -> path, default name)``.
-
-    A bare DIR names itself ``default`` when it is the only bundle and
-    by its directory basename otherwise; the first spec is the default
-    route. Duplicate names are an error, not a silent override.
-    """
-    from pathlib import Path
-
-    from repro.serve import ServeError
-
-    bundles = {}
-    for spec in specs:
-        if "=" in spec:
-            name, _, path = spec.partition("=")
-        else:
-            name = "default" if len(specs) == 1 else Path(spec).name
-            path = spec
-        if not name or not path:
-            raise ServeError(
-                f"bundle spec {spec!r} must be DIR or NAME=DIR"
-            )
-        if name in bundles:
-            raise ServeError(f"duplicate bundle name {name!r}")
-        bundles[name] = Path(path)
-    return bundles, next(iter(bundles))
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json
 
     from repro.index.artifacts import ArtifactError
-    from repro.serve import ServeError, run_self_test, serve_bundles
+    from repro.serve import ServeError, run_self_test, serve_bundle
+    from repro.serve.daemon import BUNDLE_NAME
 
     try:
-        bundles, default = _parse_bundle_specs(args.bundle)
-        daemon = serve_bundles(
-            bundles,
-            default=default,
+        daemon = serve_bundle(
+            args.bundle,
             host=args.host,
             port=args.port,
             cache_size=args.cache_size,
@@ -497,7 +487,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.self_test:
         try:
             report = run_self_test(
-                bundles[default],
+                args.bundle,
                 items=args.self_test,
                 requests=args.self_test_requests,
                 workers=args.self_test_workers,
@@ -532,8 +522,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "event": "serving",
                 "host": host,
                 "port": port,
-                "bundles": sorted(bundles),
-                "default_bundle": default,
+                "bundles": [BUNDLE_NAME],
+                "default_bundle": BUNDLE_NAME,
             },
             sort_keys=True,
         ),
@@ -541,8 +531,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     print(
         f"serving {stats['records']} records ({stats['blocking']} blocking) "
-        f"on http://{host}:{port} — GET /stats, GET /bundles, "
-        f"POST /link, POST /delta",
+        f"on http://{host}:{port} — GET /stats, POST /link, POST /delta",
         file=sys.stderr,
     )
     try:
@@ -683,15 +672,14 @@ def build_parser() -> argparse.ArgumentParser:
     worker.set_defaults(handler=_cmd_worker)
 
     serve = sub.add_parser(
-        "serve", help="long-running warm linking daemon over artifact bundles"
+        "serve", help="long-running warm linking daemon over one artifact bundle"
     )
     serve.add_argument(
         "--bundle",
         required=True,
-        action="append",
-        metavar="[NAME=]DIR",
-        help="bundle to host (repeatable; requests route by name via "
-        'the "bundle" payload field, the first one is the default)',
+        action=_OneBundle,
+        metavar="DIR",
+        help="bundle to host (one per daemon)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(

@@ -7,14 +7,12 @@ record store, learning rules and constructing key indexes.
 as a versioned artifact bundle (:mod:`repro.index.artifacts`);
 :class:`~repro.serve.session.LinkSession` opens a bundle O(1) and
 answers link/delta requests byte-identically to the one-shot path;
-:class:`~repro.serve.registry.BundleRegistry` hosts many named bundles
-with lazy open and idle-LRU eviction;
-:class:`~repro.serve.daemon.LinkDaemon` puts a registry behind a
+:class:`~repro.serve.daemon.LinkDaemon` puts one session behind a
 threading HTTP server whose work is admitted through a bounded
 :class:`~repro.serve.queueing.RequestQueue` (overload → 503 +
-``Retry-After``), so many clients share warm engines without thread
-pileup. Every request runs serially on its session's shared
-thread-safe cache.
+``Retry-After``), so many clients share one warm engine without thread
+pileup. One daemon hosts one bundle; more bundles mean more daemons.
+Every request runs serially on the session's shared thread-safe cache.
 """
 
 from repro.serve.build import build_bundle
@@ -25,10 +23,8 @@ from repro.serve.daemon import (
     request_json,
     request_raw,
     serve_bundle,
-    serve_bundles,
 )
 from repro.serve.queueing import OverloadError, RequestQueue
-from repro.serve.registry import BundleRegistry, UnknownBundleError
 from repro.serve.selftest import cold_reference, response_identity, run_self_test
 from repro.serve.session import (
     BLOCKING_NAMES,
@@ -42,13 +38,11 @@ __all__ = [
     "BLOCKING_NAMES",
     "DEFAULT_MAX_BODY_BYTES",
     "STREAMABLE_BLOCKING",
-    "BundleRegistry",
     "LinkDaemon",
     "LinkSession",
     "OverloadError",
     "RequestQueue",
     "ServeError",
-    "UnknownBundleError",
     "build_bundle",
     "cold_reference",
     "link_response",
@@ -58,5 +52,4 @@ __all__ = [
     "response_identity",
     "run_self_test",
     "serve_bundle",
-    "serve_bundles",
 ]

@@ -1,27 +1,26 @@
-"""A long-running linking daemon over a registry of warm sessions.
+"""A long-running linking daemon over one warm session.
 
 Stdlib-only HTTP front: a :class:`ThreadingHTTPServer` accepts each
 connection on its own thread, but the linking work itself is admitted
 through a bounded :class:`~repro.serve.queueing.RequestQueue` — at most
 ``queue_workers`` requests execute at once, at most ``queue_depth``
 wait, and overload is answered with **503 + Retry-After** instead of an
-unbounded thread pileup. Requests route by bundle name through a
-:class:`~repro.serve.registry.BundleRegistry`, so one daemon hosts many
-catalogs with lazy open and idle-LRU eviction.
+unbounded thread pileup. One daemon hosts one bundle, named
+``default``; more bundles mean more daemons.
 
 Protocol (all JSON):
 
 * ``GET /stats`` — daemon snapshot: queue counters (depth, rejections,
-  in-flight), registry counters (opens, evictions), per-open-bundle
-  session stats.
-* ``GET /bundles`` — every hosted bundle (open ones with live session
-  facts, closed ones from the manifest alone).
-* ``POST /link`` — body ``{"records": [...], "bundle": name?}`` in the
-  artifact-bundle record payload shape; responds with match counts and
-  the confirmed links as canonical N-Triples (the byte-identity
-  comparand). Without ``"bundle"`` the registry default answers.
-* ``POST /delta`` — body ``{"stream": name, "records": [...],
-  "bundle": name?}``; ingests a delta into a named cumulative stream.
+  in-flight) and the session's stats under ``sessions.default``.
+* ``POST /link`` — body ``{"records": [...]}`` in the artifact-bundle
+  record payload shape; responds with match counts and the confirmed
+  links as canonical N-Triples (the byte-identity comparand).
+* ``POST /delta`` — body ``{"stream": name, "records": [...]}``;
+  ingests a delta into a named cumulative stream.
+
+Either body may carry ``"bundle": "default"``; any other value names a
+bundle this daemon does not host and is refused, never answered by the
+hosted one.
 
 Error mapping: malformed/empty JSON → 400, unknown bundle → 404,
 unknown path → 404, body over ``max_body_bytes`` → 413 (rejected
@@ -35,7 +34,7 @@ import threading
 from http.client import HTTPConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.serve.queueing import (
     DEFAULT_QUEUE_DEPTH,
@@ -44,12 +43,18 @@ from repro.serve.queueing import (
     OverloadError,
     RequestQueue,
 )
-from repro.serve.registry import BundleRegistry, UnknownBundleError
 from repro.serve.session import LinkSession, ServeError
 
 #: Default request-body ceiling (64 MiB of JSON records is far beyond
 #: any sane provider batch; bigger bodies are rejected before reading).
 DEFAULT_MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: The name of the one bundle a daemon hosts.
+BUNDLE_NAME = "default"
+
+
+class UnknownBundleError(ServeError):
+    """A request named a bundle the daemon does not host (HTTP 404)."""
 
 
 def link_response(result) -> Dict[str, Any]:
@@ -75,12 +80,12 @@ def link_response(result) -> Dict[str, Any]:
 def _make_handler(daemon: "LinkDaemon"):
     from repro.index.artifacts import ArtifactError, record_store_from_payload
 
-    registry = daemon.registry
+    session = daemon.session
     request_queue = daemon.queue
     max_body = daemon.max_body_bytes
 
     class LinkRequestHandler(BaseHTTPRequestHandler):
-        # one handler class per daemon: registry + queue ride the closure
+        # one handler class per daemon: session + queue ride the closure
         protocol_version = "HTTP/1.1"
         server_version = "repro-serve"
 
@@ -119,9 +124,6 @@ def _make_handler(daemon: "LinkDaemon"):
             if self.path.rstrip("/") in ("", "/stats"):
                 self._reply(200, daemon.stats())
                 return
-            if self.path.rstrip("/") == "/bundles":
-                self._reply(200, registry.summary())
-                return
             self._reply(404, {"error": f"unknown path {self.path!r}"})
 
         def do_POST(self) -> None:  # noqa: N802 - http.server API
@@ -147,8 +149,8 @@ def _make_handler(daemon: "LinkDaemon"):
                 else:
                     self._reply(404, {"error": f"unknown path {self.path!r}"})
                     return
-                # admission first, session resolution second: a full
-                # queue answers 503 without touching any bundle
+                # admission first, bundle check second: a full queue
+                # answers 503 without touching the session
                 self._reply(200, request_queue.submit(lambda: handle(payload)))
             except OverloadError as exc:
                 self._reply(
@@ -164,51 +166,51 @@ def _make_handler(daemon: "LinkDaemon"):
                 self._reply(500, {"error": f"{type(exc).__name__}: {exc}"})
 
         def _handle_link(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-            bundle = payload.pop("bundle", None)
-            with registry.lease(_bundle_name(bundle)) as session:
-                external = record_store_from_payload(payload)
-                result = session.link(external)
-                return link_response(result)
+            _check_bundle(payload.pop("bundle", None))
+            external = record_store_from_payload(payload)
+            return link_response(session.link(external))
 
         def _handle_delta(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-            bundle = payload.pop("bundle", None)
+            _check_bundle(payload.pop("bundle", None))
             stream = payload.get("stream")
             if not isinstance(stream, str) or not stream:
                 raise ServeError('delta requests need a non-empty "stream" name')
-            with registry.lease(_bundle_name(bundle)) as session:
-                store = record_store_from_payload(payload)
-                job, delta = session.delta(stream, list(store))
-                response = link_response(job.result())
-                response["stream"] = stream
-                response["delta"] = {
-                    "index": delta.index,
-                    "records": delta.records,
-                    "compared": delta.compared,
-                    "matches": delta.matches,
-                }
-                return response
+            store = record_store_from_payload(payload)
+            result, delta = session.delta(stream, list(store))
+            response = link_response(result)
+            response["stream"] = stream
+            response["delta"] = {
+                "index": delta.index,
+                "records": delta.records,
+                "compared": delta.compared,
+                "matches": delta.matches,
+            }
+            return response
 
     return LinkRequestHandler
 
 
-def _bundle_name(raw: Any) -> Optional[str]:
-    """The request's bundle field, validated to a routable shape."""
+def _check_bundle(raw: Any) -> None:
+    """Refuse a request whose bundle field names another bundle."""
     if raw is None:
-        return None
+        return
     if not isinstance(raw, str) or not raw:
         raise UnknownBundleError(
             f'request field "bundle" must be a non-empty string, got {raw!r}'
         )
-    return raw
+    if raw != BUNDLE_NAME:
+        raise UnknownBundleError(
+            f"unknown bundle {raw!r}; this daemon hosts {BUNDLE_NAME!r}"
+        )
 
 
 class LinkDaemon:
-    """The serve daemon: a registry's warm sessions behind a queued
-    threading server."""
+    """The serve daemon: one warm session behind a queued threading
+    server."""
 
     def __init__(
         self,
-        registry: BundleRegistry,
+        session: LinkSession,
         host: str = "127.0.0.1",
         port: int = 0,
         *,
@@ -217,16 +219,17 @@ class LinkDaemon:
         retry_after: float = DEFAULT_RETRY_AFTER,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
     ) -> None:
-        if not isinstance(registry, BundleRegistry):
+        if not isinstance(session, LinkSession):
             raise TypeError(
-                f"LinkDaemon serves a BundleRegistry, not a "
-                f"{type(registry).__name__}; use serve_bundle(path) for one bundle"
+                f"LinkDaemon serves one LinkSession, not a "
+                f"{type(session).__name__}; use serve_bundle(path) to load "
+                f"a bundle"
             )
         if max_body_bytes < 1:
             raise ServeError(
                 f"max_body_bytes must be >= 1, got {max_body_bytes}"
             )
-        self._registry = registry
+        self._session = session
         self._queue = RequestQueue(
             workers=queue_workers, depth=queue_depth, retry_after=retry_after
         )
@@ -235,19 +238,14 @@ class LinkDaemon:
         self._thread: Optional[threading.Thread] = None
 
     @property
-    def registry(self) -> BundleRegistry:
-        """The bundle registry answering routed requests."""
-        return self._registry
-
-    @property
     def queue(self) -> RequestQueue:
         """The bounded admission queue (counters on ``GET /stats``)."""
         return self._queue
 
     @property
     def session(self) -> LinkSession:
-        """The default bundle's warm session (opened on first access)."""
-        return self._registry.session()
+        """The warm session answering every request."""
+        return self._session
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -256,17 +254,11 @@ class LinkDaemon:
         return str(host), int(port)
 
     def stats(self) -> Dict[str, Any]:
-        """The ``GET /stats`` body: queue + registry + open sessions."""
-        registry_stats = self._registry.stats()
-        sessions = {
-            name: session.stats()
-            for name, session in sorted(self._registry.open_sessions().items())
-        }
+        """The ``GET /stats`` body: queue + the session's stats."""
         return {
-            "default_bundle": self._registry.default_bundle,
+            "default_bundle": BUNDLE_NAME,
             "queue": self._queue.stats(),
-            "registry": registry_stats,
-            "sessions": sessions,
+            "sessions": {BUNDLE_NAME: self._session.stats()},
         }
 
     def start(self) -> Tuple[str, int]:
@@ -321,52 +313,13 @@ def serve_bundle(
 ) -> LinkDaemon:
     """One bundle behind a (not yet started) daemon.
 
-    The single-bundle convenience over :func:`serve_bundles`; the
-    bundle is named ``default`` and loaded eagerly so configuration
-    errors surface at startup, not on the first request.
+    The bundle is loaded eagerly so configuration errors surface at
+    startup, not on the first request.
     """
-    return serve_bundles(
-        {"default": Path(bundle_path)},
-        host=host,
-        port=port,
-        cache_size=cache_size,
-        queue_workers=queue_workers,
-        queue_depth=queue_depth,
-        retry_after=retry_after,
-        max_body_bytes=max_body_bytes,
-    )
+    from repro.index.artifacts import load_bundle
 
-
-def serve_bundles(
-    bundles: Mapping[str, Path | str],
-    *,
-    default: Optional[str] = None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    cache_size: Optional[int] = None,
-    max_open: Optional[int] = None,
-    queue_workers: int = DEFAULT_QUEUE_WORKERS,
-    queue_depth: int = DEFAULT_QUEUE_DEPTH,
-    retry_after: float = DEFAULT_RETRY_AFTER,
-    max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-) -> LinkDaemon:
-    """Many named bundles behind one (not yet started) daemon.
-
-    The default bundle is opened eagerly — a daemon that cannot answer
-    its default route should fail at startup; the rest open lazily on
-    first request (and idle ones are LRU-evicted past ``max_open``).
-    """
-    from repro.serve.registry import DEFAULT_MAX_OPEN
-
-    registry = BundleRegistry(
-        bundles,
-        default=default,
-        max_open=max_open if max_open is not None else DEFAULT_MAX_OPEN,
-        cache_size=cache_size,
-    )
-    registry.session()  # eager default open: fail fast on a bad bundle
     return LinkDaemon(
-        registry,
+        LinkSession(load_bundle(Path(bundle_path)), cache_size=cache_size),
         host=host,
         port=port,
         queue_workers=queue_workers,

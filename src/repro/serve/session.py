@@ -14,8 +14,10 @@ Concurrency: the session is shared across daemon worker threads. The
 similarity cache is one :class:`CachedRecordComparator` built
 ``thread_safe=True``, because the engine's serial path reuses a
 caller-provided comparator as-is and concurrent serial jobs over an
-unsynchronized OrderedDict would race. Streams (delta ingestion) are
-guarded by a per-stream lock.
+unsynchronized OrderedDict would race. Each delta stream has its own
+lock, held across the delta's ingestion and the cumulative snapshot
+returned with it, so deltas of one stream fold one at a time and every
+answer covers exactly the deltas folded up to and including its own.
 """
 
 from __future__ import annotations
@@ -128,6 +130,7 @@ class LinkSession:
         self._comparator = comparator
         self._lock = threading.Lock()
         self._requests = 0
+        # stream name -> (its lock, its StreamingLinkingJob)
         self._streams: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
@@ -167,18 +170,6 @@ class LinkSession:
     def match_threshold(self) -> float:
         """The bundle's configured match threshold."""
         return float(self._config.get("match_threshold", 0.9))
-
-    @property
-    def request_count(self) -> int:
-        """Requests answered so far (link + delta)."""
-        with self._lock:
-            return self._requests
-
-    @property
-    def stream_count(self) -> int:
-        """Live delta streams (eviction guard: streams hold state)."""
-        with self._lock:
-            return len(self._streams)
 
     # ------------------------------------------------------------------
     # request construction
@@ -273,6 +264,8 @@ class LinkSession:
 
         Streams keep cumulative best-match state; blocking must be
         graph-independent and stream-safe (prefix, qgram, full).
+        Returns ``(result, delta)``: the stream's cumulative result
+        right after this delta folded in, and the delta's own report.
         """
         from repro.engine import JobConfig, StreamingLinkingJob
         from repro.linking import ThresholdMatcher
@@ -283,8 +276,8 @@ class LinkSession:
                 f"streamable methods: {', '.join(STREAMABLE_BLOCKING)}"
             )
         with self._lock:
-            job = self._streams.get(stream)
-            if job is None:
+            entry = self._streams.get(stream)
+            if entry is None:
                 job = StreamingLinkingJob(
                     self._local,
                     self._comparator,
@@ -292,17 +285,22 @@ class LinkSession:
                     JobConfig(executor="serial"),
                     blocking=self.make_blocking(None),
                 )
-                self._streams[stream] = job
+                entry = self._streams[stream] = (threading.Lock(), job)
             self._requests += 1
-        # per-stream serialization: deltas of one stream fold in order
-        delta = job.ingest(records)
-        return job, delta
+        stream_lock, job = entry
+        with stream_lock:
+            delta = job.ingest(records)
+            return job.result(), delta
 
     def stream_result(self, stream: str):
         """The cumulative result of a named stream (or ``None``)."""
         with self._lock:
-            job = self._streams.get(stream)
-        return job.result() if job is not None else None
+            entry = self._streams.get(stream)
+        if entry is None:
+            return None
+        stream_lock, job = entry
+        with stream_lock:
+            return job.result()
 
     def stats(self) -> Dict[str, Any]:
         """A JSON-ready snapshot of the warm session."""

@@ -13,8 +13,8 @@ from repro.experiments.throughput import provider_batch
 from repro.index.artifacts import load_bundle, record_store_to_payload, write_bundle
 from repro.linking import RecordStore
 from repro.serve import (
-    BundleRegistry,
     LinkDaemon,
+    LinkSession,
     ServeError,
     build_bundle,
     link_response,
@@ -22,7 +22,6 @@ from repro.serve import (
     response_identity,
     run_self_test,
     serve_bundle,
-    serve_bundles,
 )
 
 SEED = 13
@@ -66,16 +65,8 @@ class TestProtocol:
         assert queue["workers"] >= 1
         assert queue["depth"] >= 1
         assert queue["rejected"] == 0
-        assert stats["registry"]["bundles"]["default"]["open"] is True
-
-    def test_bundles_listing(self, daemon):
-        host, port = daemon.address
-        listing = request_json(host, port, "GET", "/bundles")
-        assert listing["default"] == "default"
-        entry = listing["bundles"]["default"]
-        assert entry["open"] is True
-        assert entry["blocking"] == "prefix"
-        assert entry["records"] > 0
+        assert set(stats) == {"default_bundle", "queue", "sessions"}
+        assert set(stats["sessions"]) == {"default"}
 
     def test_unknown_path_is_404(self, daemon):
         host, port = daemon.address
@@ -192,26 +183,27 @@ class TestResponseIdentity:
 
 
 class TestOneAnswerPath:
-    """A daemon is built over a registry, and every request it answers
+    """A daemon is built over one session, and every request it answers
     runs the session's single serial path."""
 
-    def test_first_parameter_is_a_registry(self):
+    def test_first_parameter_is_a_session(self):
         hints = typing.get_type_hints(LinkDaemon.__init__)
-        assert hints["registry"] is BundleRegistry
+        assert hints["session"] is LinkSession
 
-    def test_bare_session_is_refused(self, daemon):
-        with pytest.raises(TypeError, match="BundleRegistry"):
-            LinkDaemon(daemon.session)
+    @pytest.mark.parametrize("shape", ["path", "bundle", "mapping"])
+    def test_anything_but_a_session_is_refused(self, bundle_path, shape):
+        other = {
+            "path": bundle_path,
+            "bundle": load_bundle(bundle_path),
+            "mapping": {"default": bundle_path},
+        }[shape]
+        with pytest.raises(TypeError, match="serve_bundle"):
+            LinkDaemon(other)
 
     @pytest.mark.parametrize("knob", ["multiplex_threshold", "multiplex_workers"])
     def test_serve_bundle_takes_no_multiplex_knob(self, bundle_path, knob):
         with pytest.raises(TypeError, match=knob):
             serve_bundle(bundle_path, **{knob: 2})
-
-    @pytest.mark.parametrize("knob", ["multiplex_threshold", "multiplex_workers"])
-    def test_serve_bundles_takes_no_multiplex_knob(self, bundle_path, knob):
-        with pytest.raises(TypeError, match=knob):
-            serve_bundles({"default": bundle_path}, **{knob: 2})
 
     def test_link_over_http_answers_like_the_session(self, daemon, link_payload):
         host, port = daemon.address

@@ -68,6 +68,19 @@ class TestUnknownTargets:
         assert status == 404
         assert body == {"error": "unknown path '/work'"}
 
+    def test_bundles_listing_is_gone(self, daemon):
+        host, port = daemon.address
+        status, _, body = request_raw(host, port, "GET", "/bundles")
+        assert status == 404
+        assert body == {"error": "unknown path '/bundles'"}
+
+    @pytest.mark.parametrize("path", ["/link", "/delta"])
+    def test_the_hosted_bundle_name_is_served(self, daemon, path):
+        payload = {"records": [], "bundle": "default", "stream": "named"}
+        status, _, body = _post(daemon, path, payload=payload)
+        assert status == 200
+        assert body["matches"] == 0
+
     def test_unknown_bundle_is_404(self, daemon):
         status, _, body = _post(
             daemon, "/link", payload={"records": [], "bundle": "nope"}

@@ -5,6 +5,8 @@ one-shot run on the same inputs, the shared comparator is provably
 thread-safe, and delta streams fold to the batch result.
 """
 
+import threading
+
 import pytest
 
 from repro.datagen.catalog import PART_NUMBER, ElectronicCatalogGenerator
@@ -92,7 +94,7 @@ class TestWarmIdentity:
         first = link_response(session.link(external))
         second = link_response(session.link(external))
         assert first == second
-        assert session.request_count == 2
+        assert session.stats()["requests"] == 2
         # the second pass answers similarities from the shared cache
         assert session.comparator.cache_hits > 0
 
@@ -133,6 +135,58 @@ class TestDeltaStreams:
         assert serialize_ntriples(streamed.sameas_graph()) == serialize_ntriples(
             batch.sameas_graph()
         )
+
+    def test_one_stream_folds_one_delta_at_a_time(
+        self, session, materials, monkeypatch
+    ):
+        """Two threads feeding one stream never ingest at once, and each
+        answer is the cumulative result as of its own delta."""
+        from repro.engine import StreamingLinkingJob
+
+        ingest = StreamingLinkingJob.ingest
+        guard = threading.Lock()
+        inside = [0]
+        most_inside = [0]
+        overlapped = threading.Event()
+
+        def counted_ingest(job, records):
+            with guard:
+                inside[0] += 1
+                most_inside[0] = max(most_inside[0], inside[0])
+                if inside[0] > 1:
+                    overlapped.set()
+            # hold the first delta open: without a stream lock the other
+            # thread gets in meanwhile; with one, this wait just times out
+            overlapped.wait(timeout=0.5)
+            try:
+                return ingest(job, records)
+            finally:
+                with guard:
+                    inside[0] -= 1
+
+        monkeypatch.setattr(StreamingLinkingJob, "ingest", counted_ingest)
+        _, _, external = materials
+        records = list(external)
+        middle = len(records) // 2
+        halves = (records[:middle], records[middle:])
+        answers = {}
+
+        def feed(half):
+            answers[half] = session.delta("s1", halves[half])
+
+        threads = [threading.Thread(target=feed, args=(half,)) for half in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert most_inside[0] == 1
+        (first, first_delta), (second, second_delta) = sorted(
+            answers.values(), key=lambda answer: answer[1].index
+        )
+        assert (first_delta.index, second_delta.index) == (0, 1)
+        assert first_delta.compared > 0 and second_delta.compared > 0
+        assert first.compared == first_delta.compared
+        assert second.compared == first_delta.compared + second_delta.compared
 
     def test_unknown_stream_has_no_result(self, session):
         assert session.stream_result("nope") is None
@@ -196,7 +250,7 @@ class TestOneAnswerPath:
             session.delta(
                 "s1", list(external), job_config=JobConfig(executor="serial")
             )
-        assert session.stream_count == 0
+        assert session.stats()["streams"] == []
 
     def test_stats_carry_no_multiplex_or_work_counters(self, session, materials):
         _, _, external = materials

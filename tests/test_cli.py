@@ -398,7 +398,7 @@ class TestServeCommand:
             ["serve", "--bundle", "b", "--port", "0", "--self-test", "40",
              "--self-test-requests", "3", "--self-test-workers", "2", "--json"]
         )
-        assert args.bundle == ["b"]
+        assert args.bundle == "b"
         assert args.port == 0
         assert args.self_test == 40
         assert args.self_test_requests == 3
@@ -406,10 +406,10 @@ class TestServeCommand:
 
     def test_serve_concurrency_flags_parse(self):
         args = build_parser().parse_args(
-            ["serve", "--bundle", "a=x", "--bundle", "b=y",
-             "--queue-workers", "2", "--queue-depth", "8"]
+            ["serve", "--bundle", "x", "--queue-workers", "2",
+             "--queue-depth", "8"]
         )
-        assert args.bundle == ["a=x", "b=y"]
+        assert args.bundle == "x"
         assert args.queue_workers == 2
         assert args.queue_depth == 8
 
@@ -424,23 +424,19 @@ class TestServeCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_serve_bundle_specs_parse(self):
-        from repro.cli import _parse_bundle_specs
+    def test_serve_second_bundle_is_a_usage_error(self, capsys):
+        """One daemon hosts one bundle: a second ``--bundle`` is refused
+        by name, never silently dropped."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--bundle", "a", "--bundle", "b"])
+        assert exc.value.code == 2
+        assert "--bundle: given twice" in capsys.readouterr().err
 
-        bundles, default = _parse_bundle_specs(["alpha=/x/a", "/y/beta"])
-        assert default == "alpha"
-        assert sorted(bundles) == ["alpha", "beta"]
-
-        single, default = _parse_bundle_specs(["/y/beta"])
-        assert default == "default"
-        assert list(single) == ["default"]
-
-    def test_serve_duplicate_bundle_names_rejected(self):
-        from repro.cli import _parse_bundle_specs
-        from repro.serve import ServeError
-
-        with pytest.raises(ServeError, match="duplicate"):
-            _parse_bundle_specs(["a=x", "a=y"])
+    def test_serve_named_bundle_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--bundle", f"x={tmp_path}"])
+        assert exc.value.code == 2
+        assert "NAME=DIR" in capsys.readouterr().err
 
     def test_serve_missing_bundle_errors_cleanly(self, tmp_path, capsys):
         code = main(["serve", "--bundle", str(tmp_path / "nope")])
