@@ -37,6 +37,9 @@ from repro.rdf.triples import Triple
 PART_NUMBER = CATALOG.term("partNumber")
 #: Manufacturer property (deliberately uninformative about the class).
 MANUFACTURER = CATALOG.term("manufacturer")
+#: ``rdf:type`` and ``rdfs:label``, minted once instead of once per item.
+RDF_TYPE = RDF.type
+RDFS_LABEL = RDFS.label
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,10 +144,10 @@ class ElectronicCatalogGenerator:
                     )
                 )
                 ontology.add_instance(iri, leaf)
-                local_graph.add(Triple(iri, RDF.type, leaf))
+                local_graph.add(Triple(iri, RDF_TYPE, leaf))
                 local_graph.add(Triple(iri, PART_NUMBER, Literal(part_number)))
                 local_graph.add(Triple(iri, MANUFACTURER, Literal(manufacturer)))
-                local_graph.add(Triple(iri, RDFS.label, Literal(label)))
+                local_graph.add(Triple(iri, RDFS_LABEL, Literal(label)))
 
         # 2. expert links: sample |TS| catalog items (uniformly, which
         # preserves the Zipf class skew) and emit corrupted provider twins

@@ -9,6 +9,7 @@ datatype and language tag all coincide.
 from __future__ import annotations
 
 import itertools
+import re
 import threading
 from dataclasses import dataclass, field
 from typing import Union
@@ -21,6 +22,8 @@ XSD_DECIMAL = _XSD + "decimal"
 XSD_DOUBLE = _XSD + "double"
 XSD_BOOLEAN = _XSD + "boolean"
 RDF_LANGSTRING = "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"
+
+_IRI_FORBIDDEN = re.compile('[<>" \n\t\r]')
 
 
 class TermError(ValueError):
@@ -41,7 +44,7 @@ class IRI:
     def __post_init__(self) -> None:
         if not self.value:
             raise TermError("IRI must be a non-empty string")
-        if any(ch in self.value for ch in "<>\" \n\t\r"):
+        if _IRI_FORBIDDEN.search(self.value):
             raise TermError(f"IRI contains forbidden character: {self.value!r}")
 
     def __str__(self) -> str:

@@ -22,7 +22,8 @@ Either body may carry ``"bundle": "default"``; any other value names a
 bundle this daemon does not host and is refused, never answered by the
 hosted one.
 
-Error mapping: malformed/empty JSON → 400, unknown bundle → 404,
+Error mapping: malformed/empty JSON or a ``Content-Length`` that is not
+a non-negative integer → 400, unknown bundle → 404,
 unknown path → 404, body over ``max_body_bytes`` → 413 (rejected
 before the body is read), full queue → 503. Every error body is JSON.
 """
@@ -107,8 +108,19 @@ def _make_handler(daemon: "LinkDaemon"):
             self.end_headers()
             self.wfile.write(body)
 
-        def _read_body(self) -> Dict[str, Any]:
-            length = int(self.headers.get("Content-Length", "0"))
+        def _content_length(self) -> int:
+            raw = self.headers.get("Content-Length", "0")
+            text = raw.strip()
+            if not (text.isascii() and text.isdigit()):
+                # a body of unknown length stays on the socket, so the
+                # connection cannot be reused
+                self.close_connection = True
+                raise ServeError(
+                    f"Content-Length must be a non-negative integer, got {raw!r}"
+                )
+            return int(text)
+
+        def _read_body(self, length: int) -> Dict[str, Any]:
             raw = self.rfile.read(length) if length else b""
             if not raw:
                 raise ServeError("empty request body; expected JSON")
@@ -128,7 +140,7 @@ def _make_handler(daemon: "LinkDaemon"):
 
         def do_POST(self) -> None:  # noqa: N802 - http.server API
             try:
-                length = int(self.headers.get("Content-Length", "0"))
+                length = self._content_length()
                 if length > max_body:
                     # reject before reading: the body stays on the
                     # socket, so the connection cannot be reused
@@ -141,7 +153,7 @@ def _make_handler(daemon: "LinkDaemon"):
                         },
                     )
                     return
-                payload = self._read_body()
+                payload = self._read_body(length)
                 if self.path == "/link":
                     handle = self._handle_link
                 elif self.path == "/delta":
@@ -236,6 +248,9 @@ class LinkDaemon:
         self.max_body_bytes = max_body_bytes
         self._server = ThreadingHTTPServer((host, port), _make_handler(self))
         self._thread: Optional[threading.Thread] = None
+        # ThreadingHTTPServer.shutdown() waits for a serve_forever loop,
+        # so it must not be called on a daemon that never served
+        self._serving = False
 
     @property
     def queue(self) -> RequestQueue:
@@ -265,6 +280,7 @@ class LinkDaemon:
         """Serve on a daemon thread; returns the bound address."""
         self._queue.start()
         if self._thread is None:
+            self._serving = True
             self._thread = threading.Thread(
                 target=self._server.serve_forever,
                 name="repro-serve",
@@ -276,6 +292,7 @@ class LinkDaemon:
     def serve_forever(self) -> None:
         """Serve on the calling thread until :meth:`shutdown`."""
         self._queue.start()
+        self._serving = True
         self._server.serve_forever()
 
     def wait(self) -> None:
@@ -285,7 +302,8 @@ class LinkDaemon:
 
     def shutdown(self) -> None:
         """Stop serving and release the socket and worker pool."""
-        self._server.shutdown()
+        if self._serving:
+            self._server.shutdown()
         self._server.server_close()
         self._queue.shutdown()
         if self._thread is not None:

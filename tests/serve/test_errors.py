@@ -1,6 +1,10 @@
 """Daemon error paths: every bad request gets a JSON 4xx, never a
 500 traceback or a hung connection."""
 
+import json
+import socket
+import threading
+
 import pytest
 
 from repro.serve import build_bundle, request_raw, serve_bundle
@@ -9,12 +13,15 @@ SEED = 19
 
 
 @pytest.fixture(scope="module")
-def daemon(tmp_path_factory):
-    root = tmp_path_factory.mktemp("serve-errors")
-    build_bundle(
-        root / "bundle", preset="tiny", seed=SEED, blocking="prefix", warm_items=15
-    )
-    running = serve_bundle(root / "bundle", max_body_bytes=4096)
+def bundle_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("serve-errors") / "bundle"
+    build_bundle(path, preset="tiny", seed=SEED, blocking="prefix", warm_items=15)
+    return path
+
+
+@pytest.fixture(scope="module")
+def daemon(bundle_path):
+    running = serve_bundle(bundle_path, max_body_bytes=4096)
     running.start()
     yield running
     running.shutdown()
@@ -94,6 +101,55 @@ class TestUnknownTargets:
         )
         assert status == 404
         assert "bundle" in body["error"]
+
+
+def _post_with_content_length(daemon, value):
+    """POST a header-only request over a raw socket; read to EOF.
+
+    The socket timeout turns a daemon that waits for a body it will
+    never get into a failure instead of a hung test run.
+    """
+    host, port = daemon.address
+    request = (
+        f"POST /link HTTP/1.1\r\nHost: {host}\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {value}\r\n\r\n"
+    )
+    with socket.create_connection((host, port), timeout=10.0) as sock:
+        sock.sendall(request.encode("ascii"))
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+class TestBadContentLength:
+    @pytest.mark.parametrize("value", ["-1", "-4096", "abc", "1.5", "+12", ""])
+    def test_is_a_json_400_and_the_connection_closes(self, daemon, value):
+        status, body = _post_with_content_length(daemon, value)
+        assert status == 400
+        assert body == {
+            "error": f"Content-Length must be a non-negative integer, "
+            f"got {value!r}"
+        }
+
+    def test_daemon_still_answers_afterwards(self, daemon):
+        _post_with_content_length(daemon, "-1")
+        status, _, body = _post(daemon, "/link", payload={"records": []})
+        assert status == 200
+        assert body["matches"] == 0
+
+
+class TestShutdown:
+    def test_a_daemon_that_never_served_shuts_down(self, bundle_path):
+        daemon = serve_bundle(bundle_path)
+        stopper = threading.Thread(target=daemon.shutdown, daemon=True)
+        stopper.start()
+        stopper.join(timeout=10.0)
+        assert not stopper.is_alive()
+        with pytest.raises(OSError):
+            # the listening socket is closed too
+            socket.create_connection(daemon.address, timeout=2.0).close()
 
 
 class TestOversizedPayloads:
