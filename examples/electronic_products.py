@@ -90,7 +90,7 @@ def main() -> None:
         "prefix blocking": StandardBlocking.on_field_prefix("pn", length=4),
     }
     # the engine executes each run as a chunked batch job: candidate
-    # pairs drained in chunks, per-attribute similarities memoized, and
+    # pairs drained in chunks, comparisons memoized per record profile, and
     # chunks fanned out over a process pool when CPUs allow
     engine_config = JobConfig(executor="auto", chunk_size=2048)
     for name, blocking in configs.items():
@@ -101,8 +101,8 @@ def main() -> None:
         print(
             f"{name:<18} compared {result.compared:>9} of "
             f"{result.naive_pairs} pairs in {stats.elapsed_seconds:5.1f}s "
-            f"({stats.pairs_per_second:,.0f} pairs/s, cache hit rate "
-            f"{stats.cache_hit_rate:.0%}, {stats.chunk_count} chunks) -> "
+            f"({stats.pairs_per_second:,.0f} pairs/s, {stats.scoring} memo reuse "
+            f"{stats.reuse_rate:.0%}, {stats.chunk_count} chunks) -> "
             f"P={quality.precision:.3f} R={quality.recall:.3f} "
             f"F1={quality.f1:.3f}"
         )

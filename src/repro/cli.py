@@ -234,9 +234,10 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scoring",
         choices=SCORING,
-        default="pairwise",
-        help="pair scoring path (batched = columnar scorer with "
-        "per-profile-pair memoization; byte-identical output)",
+        default="batched",
+        help="pair scoring path (default batched: columnar scorer with "
+        "per-profile-pair memoization; pairwise: one pair at a time "
+        "through the similarity cache; byte-identical output)",
     )
     parser.add_argument(
         "--progress", action="store_true", help="print per-chunk progress to stderr"

@@ -1,4 +1,4 @@
-"""Batched columnar pair scoring: the engine's second scoring path.
+"""Batched columnar pair scoring: the engine's default scoring path.
 
 The pairwise path (``JobConfig.scoring="pairwise"``) walks every
 candidate pair through :meth:`RecordComparator.compare` — per-field
@@ -21,11 +21,25 @@ machinery the learner and classifier batch paths ride):
   are equal on every compared field share one profile, whatever block
   they sit in.
 
-Scoring then memoizes at three levels: per value pair (one similarity
-call per distinct ``(similarity fn, value, value)``), per field-signature
-pair (one cross-product max per distinct field column pair) and per
-profile pair (one full vector + decision per distinct record shape).
-Within a block every pair shares its block's sub-results by
+A store's profile column is **lazy**: it starts empty and a record is
+interned the first time a candidate pair names it, so a job pays for
+the records its candidates touch, not for the whole catalog.
+
+Scoring memoizes at up to three levels, and keeps one entry per
+distinct key: per profile pair (one full vector + decision per distinct
+record shape); per field-signature pair (one cross-product max per
+distinct field column pair) — skipped when the comparator has a single
+field, because a profile then *is* its one signature; and per value
+pair (one similarity call per distinct ``(similarity fn, value,
+value)``) — skipped when both signatures hold one value, because the
+level above already keys that value pair. Memo keys are ints
+(``left << 32 | right``) and a profile-pair entry is one flat tuple
+``(aggregate, status, score, *similarities in declaration order)`` —
+or, when a compiled decider ruled the pair ``NON_MATCH``, just that
+status: such a pair emits nothing, so its vector is never read again
+and is not kept (the bulk of a dense run's entries). The similarities
+dict is built only for emitted decisions and for deciders called per
+pair. Within a block every pair shares its block's sub-results by
 construction; across blocks the sharing is wider still, because the
 memo is keyed on content, not on block membership.
 
@@ -62,17 +76,74 @@ from repro.index import FeatureVocabulary
 from repro.linking.comparators import ComparisonVector, RecordComparator
 from repro.linking.matchers import MatchStatus
 from repro.linking.records import Record, RecordStore
-from repro.rdf.terms import Term
 from repro.text.normalize import normalize_value
 
-#: A memoized profile-pair entry: (similarities in declaration order,
-#: aggregate, decided status, decided score). Status/score are ``None``
-#: when the decider has no batch compilation — the decision then runs
-#: per pair on the memoized vector.
-ScoredProfilePair = Tuple[Dict[str, float], float, Optional[MatchStatus], Optional[float]]
+#: A scored profile pair: ``(aggregate, status, score, *similarities in
+#: declaration order)``. Status and score are ``None`` when the decider
+#: has no batch compilation — the decision then runs per pair on the
+#: memoized vector. The pair memo stores a compiled NON_MATCH entry as
+#: the bare :attr:`MatchStatus.NON_MATCH` instead.
+ScoredProfilePair = tuple
 
 #: What a compiled decider returns for one scored vector.
 CompiledDecider = Callable[[Dict[str, float], float], Tuple[MatchStatus, float]]
+
+
+def _profile_interner(
+    fields, normalized: List[str], field_sigs: FeatureVocabulary, profiles: FeatureVocabulary
+) -> Callable[[Record], int]:
+    """``record -> profile id``, interning every layer on the way.
+
+    A closure over the scorer's vocabularies rather than a method, so
+    the columns that call it hold no reference to the scorer.
+    """
+    values = FeatureVocabulary()  # raw value -> dense id
+
+    def value_id(value: str) -> int:
+        vid = values.intern(value)
+        if vid == len(normalized):  # newly interned: normalize once
+            normalized.append(normalize_value(value))
+        return vid
+
+    def profile_of(record: Record) -> int:
+        signatures = tuple(
+            field_sigs.intern(
+                tuple(value_id(value) for value in record.values(comparator.field_name))
+            )
+            for comparator in fields
+        )
+        return profiles.intern(signatures)
+
+    return profile_of
+
+
+class ProfileColumn(dict):
+    """One store's record id -> profile id column, filled on first lookup.
+
+    ``column[record_id]`` interns the record the first time it is asked
+    for and answers ``None`` for an id the store does not hold (nothing
+    is cached for it). The column holds its store weakly: the scorer
+    caches columns in a weak-keyed map, which a strong reference back
+    to the key would pin forever.
+    """
+
+    __slots__ = ("_store", "_profile_of", "version")
+
+    def __init__(self, store: RecordStore, profile_of: Callable[[Record], int]) -> None:
+        # profile_of must not reference the scorer, whose column map
+        # holds this column: that cycle would outlive the job
+        super().__init__()
+        self._store = weakref.ref(store)
+        self._profile_of = profile_of
+        self.version = getattr(store, "version", None)
+
+    def __missing__(self, record_id) -> Optional[int]:
+        store = self._store()
+        record = store.get(record_id) if store is not None else None
+        if record is None:
+            return None
+        profile = self[record_id] = self._profile_of(record)
+        return profile
 
 
 class BatchScorer:
@@ -93,15 +164,16 @@ class BatchScorer:
 
     __slots__ = (
         "_fields",
+        "_names",
         "_total_weight",
         "_decider",
         "_decide_scored",
-        "_values",
         "_normalized",
+        "_profile_of",
         "_field_sigs",
         "_profiles",
-        "_value_memo",
-        "_field_memo",
+        "_value_memos",
+        "_field_memos",
         "_pair_memo",
         "_columns",
         "pair_hits",
@@ -118,6 +190,7 @@ class BatchScorer:
                 "base RecordComparator arithmetic"
             )
         self._fields = comparator.comparators
+        self._names = tuple(c.field_name for c in self._fields)
         # same expression over the same tuple as RecordComparator's
         # constructor: the division below reproduces its float exactly
         self._total_weight = sum(c.weight for c in self._fields)
@@ -126,18 +199,26 @@ class BatchScorer:
         self._decide_scored: Optional[CompiledDecider] = (
             compile_hook() if callable(compile_hook) else None
         )
-        self._values = FeatureVocabulary()  # raw value -> dense id
-        self._normalized: List[str] = []  # value id -> normalized form
         self._field_sigs = FeatureVocabulary()  # value-id tuple -> signature id
         self._profiles = FeatureVocabulary()  # signature tuple -> profile id
-        # (similarity fn, value id, value id) -> similarity
-        self._value_memo: Dict[tuple, float] = {}
-        # (field index, left signature, right signature) -> similarity
-        self._field_memo: Dict[tuple, float] = {}
-        # (left profile, right profile) -> scored entry
-        self._pair_memo: Dict[Tuple[int, int], ScoredProfilePair] = {}
-        # store -> (store version at build, record id -> profile id)
-        self._columns: "weakref.WeakKeyDictionary[RecordStore, tuple]" = (
+        self._normalized: List[str] = []  # value id -> normalized form
+        self._profile_of = _profile_interner(
+            self._fields, self._normalized, self._field_sigs, self._profiles
+        )
+        # per field: value pair -> similarity, one dict per similarity
+        # function (fields sharing a function share its memo)
+        by_function: Dict[Callable, Dict[int, float]] = {}
+        self._value_memos = [
+            by_function.setdefault(c.similarity, {}) for c in self._fields
+        ]
+        # per field: signature pair -> similarity; none for a single
+        # field, whose signature pair is the profile pair
+        self._field_memos: Optional[List[Dict[int, float]]] = (
+            [{} for _ in self._fields] if len(self._fields) > 1 else None
+        )
+        # profile pair -> scored entry
+        self._pair_memo: Dict[int, ScoredProfilePair] = {}
+        self._columns: "weakref.WeakKeyDictionary[RecordStore, ProfileColumn]" = (
             weakref.WeakKeyDictionary()
         )
         self.pair_hits = 0
@@ -167,11 +248,6 @@ class BatchScorer:
         )
 
     @property
-    def compiled(self) -> bool:
-        """Whether the decider was compiled (decisions memoize too)."""
-        return self._decide_scored is not None
-
-    @property
     def profile_count(self) -> int:
         """Distinct record profiles interned so far."""
         return len(self._profiles)
@@ -184,112 +260,80 @@ class BatchScorer:
     # ------------------------------------------------------------------
     # columns
     # ------------------------------------------------------------------
-    def columns_for(self, store: RecordStore) -> Dict[Term, int]:
-        """The store's profile column (record id -> profile id).
+    def columns_for(self, store: RecordStore) -> ProfileColumn:
+        """The store's lazy profile column (record id -> profile id).
 
-        Built once per (store, version); a store mutation between runs
-        or deltas invalidates the cached column, and re-interning after
-        a rebuild is idempotent — previously handed-out profile ids
-        stay valid because every vocabulary is append-only.
+        One column per (store, version); a store mutation between runs
+        or deltas starts a fresh, empty column. Re-interning is
+        idempotent — previously handed-out profile ids stay valid
+        because every vocabulary is append-only.
         """
-        version = getattr(store, "version", None)
-        cached = self._columns.get(store)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        profiles = {record.id: self._profile_of(record) for record in store}
-        self._columns[store] = (version, profiles)
-        return profiles
-
-    def _profile_of(self, record: Record) -> int:
-        signatures = []
-        for comparator in self._fields:
-            ids = tuple(
-                self._value_id(value)
-                for value in record.values(comparator.field_name)
-            )
-            signatures.append(self._field_sigs.intern(ids))
-        return self._profiles.intern(tuple(signatures))
-
-    def _value_id(self, value: str) -> int:
-        vid = self._values.intern(value)
-        if vid == len(self._normalized):  # newly interned: normalize once
-            self._normalized.append(normalize_value(value))
-        return vid
+        column = self._columns.get(store)
+        if column is None or column.version != getattr(store, "version", None):
+            column = self._columns[store] = ProfileColumn(store, self._profile_of)
+        return column
 
     # ------------------------------------------------------------------
     # scoring
     # ------------------------------------------------------------------
-    def decision_for(
-        self,
-        left_profile: int,
-        right_profile: int,
-        left: Optional[Record] = None,
-        right: Optional[Record] = None,
-    ) -> Tuple[MatchStatus, float, Dict[str, float], float]:
-        """Score and decide one pair by its profiles.
-
-        With a compiled decider the whole entry — vector and decision —
-        comes from the profile-pair memo. Without one, the vector is
-        memoized but the decider runs per pair on the actual records
-        (callers must pass them), preserving exact pairwise behavior
-        for stateful or record-inspecting deciders.
-        """
-        key = (left_profile, right_profile)
-        entry = self._pair_memo.get(key)
-        if entry is None:
-            self.pair_misses += 1
-            entry = self._score_profiles(left_profile, right_profile)
-            self._pair_memo[key] = entry
-        else:
-            self.pair_hits += 1
-        similarities, aggregate, status, score = entry
-        if status is None:
-            vector = ComparisonVector(
-                left=left, right=right, similarities=similarities, aggregate=aggregate
-            )
-            decision = self._decider.decide(vector)
-            return decision.status, decision.score, similarities, aggregate
-        return status, score, similarities, aggregate
+    def _memoize(self, key: int, left_profile: int, right_profile: int):
+        """Score a profile pair into the memo and return its entry: the
+        scored tuple, or the bare status of a compiled NON_MATCH."""
+        entry = self._score_profiles(left_profile, right_profile)
+        if entry[1] is MatchStatus.NON_MATCH:
+            entry = MatchStatus.NON_MATCH
+        self._pair_memo[key] = entry
+        return entry
 
     def _score_profiles(self, left_profile: int, right_profile: int) -> ScoredProfilePair:
         left_sigs = self._profiles.feature_of(left_profile)
         right_sigs = self._profiles.feature_of(right_profile)
-        similarities: Dict[str, float] = {}
+        field_memos = self._field_memos
+        similarities: List[float] = []
         weighted = 0.0
-        field_memo = self._field_memo
         for index, comparator in enumerate(self._fields):
-            key = (index, left_sigs[index], right_sigs[index])
-            sim = field_memo.get(key)
-            if sim is None:
-                sim = self._field_similarity(comparator, key[1], key[2])
-                field_memo[key] = sim
-            similarities[comparator.field_name] = sim
+            left_sig, right_sig = left_sigs[index], right_sigs[index]
+            if field_memos is None:
+                sim = self._field_similarity(index, left_sig, right_sig)
+            else:
+                memo = field_memos[index]
+                key = left_sig << 32 | right_sig
+                sim = memo.get(key)
+                if sim is None:
+                    sim = memo[key] = self._field_similarity(index, left_sig, right_sig)
+            similarities.append(sim)
             weighted += comparator.weight * sim
         aggregate = weighted / self._total_weight
         if self._decide_scored is None:
-            return similarities, aggregate, None, None
-        status, score = self._decide_scored(similarities, aggregate)
-        return similarities, aggregate, status, score
+            return (aggregate, None, None, *similarities)
+        status, score = self._decide_scored(
+            dict(zip(self._names, similarities)), aggregate
+        )
+        return (aggregate, status, score, *similarities)
 
-    def _field_similarity(self, comparator, left_sig: int, right_sig: int) -> float:
+    def _field_similarity(self, index: int, left_sig: int, right_sig: int) -> float:
+        comparator = self._fields[index]
         left_ids = self._field_sigs.feature_of(left_sig)
         right_ids = self._field_sigs.feature_of(right_sig)
         if not left_ids or not right_ids:
             return comparator.missing_value
         similarity = comparator.similarity
         normalized = self._normalized
-        memo = self._value_memo
+        if len(left_ids) == 1 and len(right_ids) == 1:
+            # the memo level above already keys this one value pair
+            return similarity(normalized[left_ids[0]], normalized[right_ids[0]])
+        memo = self._value_memos[index]
         # replicate max(sim(a, b) for a in left for b in right): same
         # iteration order, first-of-equals semantics (NaN included)
         best: Optional[float] = None
         for a in left_ids:
             norm_a = normalized[a]
+            row = a << 32
             for b in right_ids:
-                key = (similarity, a, b)
+                key = row | b
                 sim = memo.get(key)
                 if sim is None:
-                    sim = similarity(norm_a, normalized[b])
-                    memo[key] = sim
+                    sim = memo[key] = similarity(norm_a, normalized[b])
                 if best is None or sim > best:
                     best = sim
         return best
@@ -310,61 +354,58 @@ class BatchScorer:
         either store are skipped, NON_MATCH decisions are dropped, and
         each wire carries a fresh similarities dict.
         """
-        left_profiles = self.columns_for(external)
-        right_profiles = self.columns_for(local)
+        left_column = self.columns_for(external)
+        right_column = self.columns_for(local)
         compared: list = []
         decisions: list = []
         # the memo hit is the hot path — a few dict probes and an append
         # per pair — so everything it touches is bound to locals and the
         # counters are folded in once per chunk
-        left_get = left_profiles.get
-        right_get = right_profiles.get
         memo_get = self._pair_memo.get
-        pair_memo = self._pair_memo
-        score_profiles = self._score_profiles
+        memoize = self._memoize
         compared_append = compared.append
         decisions_append = decisions.append
+        names = self._names
         non_match = MatchStatus.NON_MATCH
-        compiled = self._decide_scored is not None
-        decide = None if compiled else self._decider.decide
-        scored = 0
+        decide = None if self._decide_scored is not None else self._decider.decide
         misses = 0
         for ext_id, local_id in pairs:
-            left_profile = left_get(ext_id)
-            right_profile = right_get(local_id)
-            if left_profile is None or right_profile is None:
+            left_profile = left_column[ext_id]
+            if left_profile is None:
                 continue
-            key = (left_profile, right_profile)
+            right_profile = right_column[local_id]
+            if right_profile is None:
+                continue
+            key = left_profile << 32 | right_profile
             entry = memo_get(key)
             if entry is None:
                 misses += 1
-                entry = score_profiles(left_profile, right_profile)
-                pair_memo[key] = entry
-            scored += 1
-            similarities, aggregate, status, score = entry
-            if not compiled:
+                entry = memoize(key, left_profile, right_profile)
+            compared_append((ext_id, local_id))
+            if entry is non_match:
+                continue
+            if decide is None:
+                status = entry[1]
+                score = entry[2]
+                similarities = dict(zip(names, entry[3:]))
+            else:
                 vector = ComparisonVector(
                     left=external.get(ext_id),
                     right=local.get(local_id),
-                    similarities=similarities,
-                    aggregate=aggregate,
+                    similarities=dict(zip(names, entry[3:])),
+                    aggregate=entry[0],
                 )
                 decision = decide(vector)
-                status, score = decision.status, decision.score
-            compared_append((ext_id, local_id))
-            if status is not non_match:
-                decisions_append(
-                    (
-                        ext_id,
-                        local_id,
-                        dict(similarities),
-                        aggregate,
-                        status.value,
-                        score,
-                    )
-                )
+                status = decision.status
+                if status is non_match:
+                    continue
+                score = decision.score
+                similarities = dict(vector.similarities)
+            decisions_append(
+                (ext_id, local_id, similarities, entry[0], status.value, score)
+            )
         self.pair_misses += misses
-        self.pair_hits += scored - misses
+        self.pair_hits += len(compared) - misses
         return compared, decisions
 
     def __repr__(self) -> str:

@@ -32,9 +32,8 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.engine.batch import BatchScorer
-from repro.engine.cache import CachedRecordComparator
 from repro.engine.executors.base import Decider, DecisionWire
+from repro.engine.executors.chunked import ChunkRunner
 from repro.engine.executors.sharded import run_shard_scan
 from repro.engine.shard import GroupKey, ShardOutcome, ShardPlan
 from repro.index.artifacts import (
@@ -557,10 +556,7 @@ def execute_work_unit(unit: ShardWorkUnit) -> ShardOutcome:
     blocking = blocking_from_spec(unit.blocking)
     comparator = comparator_from_spec(unit.comparator)
     decider = decider_from_spec(unit.decider)
-    cache = CachedRecordComparator(comparator, unit.cache_size)
-    scorer = (
-        BatchScorer(comparator, decider) if unit.scoring == "batched" else None
+    runner = ChunkRunner(
+        external, local, comparator, decider, unit.cache_size, scoring=unit.scoring
     )
-    return run_shard_scan(
-        blocking, external, local, cache, decider, unit.plan, unit.shard, scorer
-    )
+    return run_shard_scan(blocking, external, local, runner, unit.plan, unit.shard)

@@ -19,24 +19,22 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
-from repro.engine.batch import BatchScorer
-from repro.engine.cache import CachedRecordComparator
 from repro.engine.executors.base import (
+    ChunkOutcome,
     Decider,
-    DecisionWire,
     ExecutionRequest,
     Executor,
     Pair,
 )
+from repro.engine.executors.chunked import ChunkRunner
 from repro.engine.shard import ShardOutcome, ShardPlan, merge_shard_groups
 from repro.engine.stats import EngineProgress
 from repro.linking.blocking import BlockingMethod
 from repro.linking.comparators import RecordComparator
 from repro.linking.matchers import MatchStatus
 from repro.linking.records import RecordStore
-from repro.rdf.terms import Term
 
 #: Group sentinel: distinct from every sort key a blocking method can
 #: emit (keys are ints or int tuples), so the first pair always opens a
@@ -48,99 +46,57 @@ def run_shard_scan(
     blocking: BlockingMethod,
     external: RecordStore,
     local: RecordStore,
-    cache: CachedRecordComparator,
-    decider: Decider,
+    runner: ChunkRunner,
     plan: ShardPlan,
     shard: int,
-    scorer: Optional[BatchScorer] = None,
 ) -> ShardOutcome:
     """Generate, compare and decide one shard's candidates.
 
     Pairs are drawn lazily from the blocking method's per-key block
     iteration — the candidate stream never exists in the parent — and
-    runs of consecutive equal sort keys become one group, so the caller
-    can merge shard outcomes back into serial comparison order.
+    each run of consecutive equal sort keys is scored as one chunk by
+    *runner* (the chunk executors' scorer, either scoring path) and
+    becomes one group, so the caller can merge shard outcomes back into
+    serial comparison order. A group none of whose pairs is in both
+    stores contributes nothing.
     """
-    hits_before, misses_before = cache.cache_hits, cache.cache_misses
-    if scorer is not None:
-        batch_hits_before = scorer.pair_hits
-        batch_misses_before = scorer.pair_misses
-        batch_profiles_before = scorer.profile_count
-        left_profiles = scorer.columns_for(external)
-        right_profiles = scorer.columns_for(local)
-        compiled = scorer.compiled
-
-        def score(ext_id: Term, local_id: Term):
-            left_profile = left_profiles.get(ext_id)
-            right_profile = right_profiles.get(local_id)
-            if left_profile is None or right_profile is None:
-                return None
-            if compiled:
-                return scorer.decision_for(left_profile, right_profile)
-            return scorer.decision_for(
-                left_profile, right_profile, external.get(ext_id), local.get(local_id)
-            )
-    else:
-
-        def score(ext_id: Term, local_id: Term):
-            left = external.get(ext_id)
-            right = local.get(local_id)
-            if left is None or right is None:
-                return None
-            vector = cache.compare(left, right)
-            decision = decider.decide(vector)
-            return decision.status, decision.score, vector.similarities, vector.aggregate
-
-    groups: List[tuple] = []
-    match_ext_ids: List[Term] = []
-    compared = 0
+    scored: List[Tuple[object, ChunkOutcome]] = []
     current: object = _NO_GROUP
     pairs: List[Pair] = []
-    wires: List[DecisionWire] = []
     for sort_key, ext_id, local_id in blocking.shard_candidate_pairs(
         external, local, plan, shard
     ):
-        scored = score(ext_id, local_id)
-        if scored is None:
-            continue
         if sort_key != current:
             if pairs:
-                groups.append((current, pairs, wires))
-            current, pairs, wires = sort_key, [], []
-        status, decision_score, similarities, aggregate = scored
+                scored.append((current, runner.run_chunk(pairs)))
+            current, pairs = sort_key, []
         pairs.append((ext_id, local_id))
-        compared += 1
-        if status is not MatchStatus.NON_MATCH:
-            wires.append(
-                (
-                    ext_id,
-                    local_id,
-                    dict(similarities),
-                    aggregate,
-                    status.value,
-                    decision_score,
-                )
-            )
-            if status is MatchStatus.MATCH:
-                match_ext_ids.append(ext_id)
     if pairs:
-        groups.append((current, pairs, wires))
+        scored.append((current, runner.run_chunk(pairs)))
+    outcomes = [outcome for _, outcome in scored]
+    match = MatchStatus.MATCH.value
     return ShardOutcome(
         shard=shard,
-        groups=groups,
-        compared=compared,
-        match_ext_ids=match_ext_ids,
-        cache_hits=cache.cache_hits - hits_before,
-        cache_misses=cache.cache_misses - misses_before,
-        batch_hits=scorer.pair_hits - batch_hits_before if scorer else 0,
-        batch_misses=scorer.pair_misses - batch_misses_before if scorer else 0,
-        batch_profiles=scorer.profile_count - batch_profiles_before if scorer else 0,
+        groups=[
+            (sort_key, outcome.pairs, outcome.decisions)
+            for sort_key, outcome in scored
+            if outcome.pairs
+        ],
+        compared=sum(len(outcome.pairs) for outcome in outcomes),
+        match_ext_ids=[
+            wire[0] for outcome in outcomes for wire in outcome.decisions if wire[4] == match
+        ],
+        cache_hits=sum(outcome.cache_hits for outcome in outcomes),
+        cache_misses=sum(outcome.cache_misses for outcome in outcomes),
+        batch_hits=sum(outcome.batch_hits for outcome in outcomes),
+        batch_misses=sum(outcome.batch_misses for outcome in outcomes),
+        batch_profiles=sum(outcome.batch_profiles for outcome in outcomes),
     )
 
 
 # Per-process shard-executor state, set once by the pool initializer:
-# (blocking, external, local, cached comparator, decider, plan, scorer).
-# As with chunk workers, fork inheritance makes this free on Linux.
+# (blocking, external, local, chunk runner, plan). As with chunk
+# workers, fork inheritance makes this free on Linux.
 _SHARD_STATE: Optional[tuple] = None
 
 
@@ -152,21 +108,18 @@ def _init_shard_worker(
     decider: Decider,
     cache_size: int,
     plan: ShardPlan,
-    scoring: str = "pairwise",
+    scoring: str,
 ) -> None:
     global _SHARD_STATE
-    cache = CachedRecordComparator(comparator, cache_size)
-    scorer = BatchScorer(comparator, decider) if scoring == "batched" else None
-    _SHARD_STATE = (blocking, external, local, cache, decider, plan, scorer)
+    runner = ChunkRunner(external, local, comparator, decider, cache_size, scoring=scoring)
+    _SHARD_STATE = (blocking, external, local, runner, plan)
 
 
 def _run_shard_worker(shard: int) -> ShardOutcome:
     if _SHARD_STATE is None:
         raise RuntimeError("shard worker used before initialization")
-    blocking, external, local, cache, decider, plan, scorer = _SHARD_STATE
-    return run_shard_scan(
-        blocking, external, local, cache, decider, plan, shard, scorer
-    )
+    blocking, external, local, runner, plan = _SHARD_STATE
+    return run_shard_scan(blocking, external, local, runner, plan, shard)
 
 
 class ShardProgress:

@@ -59,8 +59,8 @@ __all__ = [
 ]
 
 #: Scoring paths: per-pair comparator dispatch, or the columnar
-#: batched scorer (see :mod:`repro.engine.batch`) — byte-identical
-#: output, memoized per record profile pair.
+#: batched scorer (see :mod:`repro.engine.batch`, the default) —
+#: byte-identical output, memoized per record profile pair.
 SCORING = ("pairwise", "batched")
 
 
@@ -110,11 +110,15 @@ class JobConfig:
       queue on the pool — useful when per-shard load is skewed; the
       setting is inert under the chunk executors;
     * ``cache_size`` — LRU capacity of the similarity cache per worker
-      (0 disables memoization);
-    * ``scoring`` — ``pairwise`` (per-pair comparator dispatch) or
-      ``batched`` (the columnar scorer of :mod:`repro.engine.batch`:
-      interned value columns, per-profile-pair memoization —
-      byte-identical output, works under every executor);
+      (0 disables memoization); only pairwise scoring consults it —
+      batched memos are unbounded for the scorer's lifetime (one job,
+      or a whole stream under :class:`StreamingLinkingJob`);
+    * ``scoring`` — ``batched`` (the default: the columnar scorer of
+      :mod:`repro.engine.batch` — lazily interned profile columns,
+      per-profile-pair memoization, byte-identical output, works under
+      every executor) or ``pairwise`` (per-pair comparator dispatch
+      through the similarity cache; the serve layer pins it because
+      its bundles carry a warm similarity cache);
     * ``best_match_only`` — keep only the top-scoring match per external
       record (the Unique Name Assumption);
     * ``on_progress`` — called with an :class:`EngineProgress` after
@@ -126,7 +130,7 @@ class JobConfig:
     workers: Optional[int] = None
     shards: Optional[int] = None
     cache_size: int = DEFAULT_CACHE_SIZE
-    scoring: str = "pairwise"
+    scoring: str = "batched"
     best_match_only: bool = True
     on_progress: Optional[Callable[[EngineProgress], None]] = None
 

@@ -118,21 +118,33 @@ class EngineStats:
         total = self.batch_pair_hits + self.batch_pair_misses
         return self.batch_pair_hits / total if total else 0.0
 
+    @property
+    def reuse_rate(self) -> float:
+        """The memo reuse of the scoring path that ran: the profile-pair
+        reuse of a batched run, the similarity-cache hit rate of a
+        pairwise one."""
+        if self.scoring == "batched":
+            return self.batch_reuse_rate
+        return self.cache_hit_rate
+
     def format(self) -> str:
         """One-paragraph human-readable report."""
         shards = f" shards={self.shard_count}" if self.shard_count else ""
-        scoring = f" scoring={self.scoring}" if self.scoring != "pairwise" else ""
         lines = [
-            f"executor={self.executor} workers={self.workers}{shards}{scoring} "
+            f"executor={self.executor} workers={self.workers}{shards} "
+            f"scoring={self.scoring} "
             f"chunks={self.chunk_count} (size {self.chunk_size})",
             f"compared {self.pairs_compared} pairs in "
             f"{self.elapsed_seconds:.2f}s -> "
             f"{self.pairs_per_second:,.0f} pairs/s",
-            f"similarity cache: {self.cache_hits} hits / "
-            f"{self.cache_misses} misses "
-            f"(hit rate {self.cache_hit_rate:.1%})",
         ]
-        if self.scoring == "batched":
+        if self.scoring == "pairwise":
+            lines.append(
+                f"similarity cache: {self.cache_hits} hits / "
+                f"{self.cache_misses} misses "
+                f"(hit rate {self.cache_hit_rate:.1%})"
+            )
+        else:
             lines.append(
                 f"batched scoring: {self.batch_profiles} profiles, "
                 f"{self.batch_pair_misses} pairs scored / "

@@ -100,7 +100,12 @@ class StreamingLinkingJob:
 
     ``shared_cache=False`` opts out of the stream-owned similarity
     cache, reverting to cold per-delta caches (the reference leg
-    ``tests/engine/test_cache_reuse.py`` compares against);
+    ``tests/engine/test_cache_reuse.py`` compares against). Under
+    batched scoring (the default) the stream owns one serial
+    :class:`BatchScorer` instead (``shared_cache=False`` opts out of it
+    too), whose vocabularies and memos grow without bound for the
+    stream's lifetime: ``cache_size`` caps only the pairwise similarity
+    cache;
     * **learner-driven blocking** — pass ``learner`` and
       ``blocking_factory``; training deltas grow the learner and the
       factory re-materializes the blocking from the re-emitted rules

@@ -55,14 +55,14 @@ class BlockingComparisonRow:
     pairs_quality: float
     seconds: float
     pairs_per_second: float = 0.0
-    cache_hit_rate: float = 0.0
+    reuse_rate: float = 0.0
 
     def format(self) -> str:
         return (
             f"{self.method:<22}{self.candidate_pairs:<12}"
             f"{self.reduction_ratio:>8.4f} {self.pairs_completeness:>8.4f} "
             f"{self.pairs_quality:>8.4f} {self.seconds:>8.2f}s "
-            f"{self.pairs_per_second:>11,.0f} {self.cache_hit_rate:>7.1%}"
+            f"{self.pairs_per_second:>11,.0f} {self.reuse_rate:>7.1%}"
         )
 
 
@@ -70,7 +70,7 @@ class BlockingComparisonRow:
 #: by the CLI, the benchmark report and :func:`main`.
 BLOCKING_COMPARISON_HEADER = (
     f"{'method':<22}{'pairs':<12}{'RR':>8} {'PC':>9} {'PQ':>9} {'time':>9} "
-    f"{'pairs/s':>11} {'cache':>7}"
+    f"{'pairs/s':>11} {'reuse':>7}"
 )
 
 
@@ -127,7 +127,7 @@ def run_blocking_comparison(
                 pairs_quality=quality.pairs_quality,
                 seconds=stats.elapsed_seconds,
                 pairs_per_second=stats.pairs_per_second,
-                cache_hit_rate=stats.cache_hit_rate,
+                reuse_rate=stats.reuse_rate,
             )
         )
     return rows

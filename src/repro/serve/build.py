@@ -180,7 +180,7 @@ def _warm_comparator(
         ),
         comparator,
         ThresholdMatcher(match_threshold=match_threshold),
-        JobConfig(executor="serial"),
+        JobConfig(executor="serial", scoring="pairwise"),
     )
     job.run(external, local)
     return comparator.cache_export()

@@ -139,6 +139,16 @@ def _make_handler(daemon: "LinkDaemon"):
             self._reply(404, {"error": f"unknown path {self.path!r}"})
 
         def do_POST(self) -> None:  # noqa: N802 - http.server API
+            if "Transfer-Encoding" in self.headers:
+                # the chunked body is never read, so its bytes would be
+                # parsed as the next request: answer and hang up
+                self.close_connection = True
+                self._reply(
+                    411,
+                    {"error": "Transfer-Encoding bodies are not supported; "
+                     "send Content-Length"},
+                )
+                return
             try:
                 length = self._content_length()
                 if length > max_body:

@@ -8,7 +8,9 @@ constructs its blocking method exactly as the one-shot ``repro link``
 path does (same classes, same parameters, same order), so a session
 answer is byte-identical to what a cold CLI run would print.
 
-Every request runs under ``JobConfig(executor="serial")``.
+Every request runs under ``JobConfig(executor="serial",
+scoring="pairwise")``: the bundle's warm similarity cache is what makes
+a session warm, and only pairwise scoring reads it.
 
 Concurrency: the session is shared across daemon worker threads. The
 similarity cache is one :class:`CachedRecordComparator` built
@@ -228,7 +230,7 @@ class LinkSession:
             self.make_blocking(external_graph),
             self._comparator,
             ThresholdMatcher(match_threshold=self.match_threshold),
-            JobConfig(executor="serial"),
+            JobConfig(executor="serial", scoring="pairwise"),
         )
         result = job.run(external, self._local)
         with self._lock:
@@ -282,7 +284,7 @@ class LinkSession:
                     self._local,
                     self._comparator,
                     ThresholdMatcher(match_threshold=self.match_threshold),
-                    JobConfig(executor="serial"),
+                    JobConfig(executor="serial", scoring="pairwise"),
                     blocking=self.make_blocking(None),
                 )
                 entry = self._streams[stream] = (threading.Lock(), job)

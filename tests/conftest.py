@@ -32,11 +32,12 @@ from repro.rdf import EX, Graph, Literal, Triple
 
 @pytest.fixture(scope="session")
 def scenario_report():
-    """Memoized ``name -> ScenarioReport`` runner (default pairwise legs).
+    """Memoized ``name -> ScenarioReport`` runner (default legs: batched
+    scoring).
 
     Scenario runs are the expensive part (generation + two engine legs),
     so reports are computed once per session and shared between the
-    golden-snapshot layer (``tests/scenarios``) and the batched-scoring
+    golden-snapshot layer (``tests/scenarios``) and the scoring
     differential layer (``tests/engine``).
     """
     from repro.scenarios import run_scenario

@@ -9,13 +9,21 @@ signatures and whole-profile collisions actually occur), random
 comparator stacks (per-field similarity function, weight and
 missing-value policy), and both threshold and trained Fellegi-Sunter
 deciders. A thinner executor-matrix leg re-checks the invariant through
-the thread, process and shard pools.
+the process and shard pools.
+
+The chunk-level leg drives one :class:`BatchScorer` directly against the
+pairwise chunk runner: candidate ids missing from either store, stores
+mutated (version bumped, records replaced in place) between two runs of
+the same scorer, and each chunk scored twice, cold and then from the
+warm memo. Single- and multi-field comparators over single- and
+multi-valued fields reach every memo level the scorer keeps or skips.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import JobConfig, LinkingJob
+from repro.engine import BatchScorer, JobConfig, LinkingJob
+from repro.engine.executors.chunked import ChunkRunner
 from repro.linking import (
     FellegiSunterMatcher,
     FieldComparator,
@@ -51,19 +59,23 @@ VOCAB = (
 
 
 @st.composite
+def field_maps(draw):
+    fields = {}
+    for field in FIELDS:
+        values = draw(st.lists(st.sampled_from(VOCAB), min_size=0, max_size=2))
+        if values:
+            fields[field] = tuple(values)
+    if "pn" not in fields:  # keep every record blockable
+        fields["pn"] = (draw(st.sampled_from(VOCAB)),)
+    return fields
+
+
+@st.composite
 def record_stores(draw, prefix, min_size=2, max_size=10):
-    records = []
-    for index in range(draw(st.integers(min_value=min_size, max_value=max_size))):
-        fields = {}
-        for field in FIELDS:
-            values = draw(
-                st.lists(st.sampled_from(VOCAB), min_size=0, max_size=2)
-            )
-            if values:
-                fields[field] = tuple(values)
-        if "pn" not in fields:  # keep every record blockable
-            fields["pn"] = (draw(st.sampled_from(VOCAB)),)
-        records.append(Record(id=EX[f"{prefix}{index}"], fields=fields))
+    records = [
+        Record(id=EX[f"{prefix}{index}"], fields=draw(field_maps()))
+        for index in range(draw(st.integers(min_value=min_size, max_value=max_size)))
+    ]
     return RecordStore(records)
 
 
@@ -111,6 +123,16 @@ def deciders(draw, comparator):
     ).train(pairs, non)
 
 
+class PlainDecider:
+    """A decider without ``compile_batched``: decided per pair."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def decide(self, vector):
+        return self._inner.decide(vector)
+
+
 @st.composite
 def linking_problems(draw):
     comparator = draw(comparators())
@@ -142,7 +164,9 @@ def assert_identical(a, b):
 @settings(max_examples=120, deadline=None)
 def test_batched_equals_pairwise(problem):
     external, local, comparator, decider = problem
-    pairwise = run(external, local, comparator, decider, executor="serial")
+    pairwise = run(
+        external, local, comparator, decider, executor="serial", scoring="pairwise"
+    )
     batched = run(
         external, local, comparator, decider,
         executor="serial", scoring="batched",
@@ -176,7 +200,9 @@ def test_batched_equals_pairwise_under_pool_executors(problem, executor):
     """Thin pooled leg: workers chunk, score and fold concurrently, yet
     both scoring modes still agree byte-for-byte."""
     external, local, comparator, decider = problem
-    pairwise = run(external, local, comparator, decider, executor="serial")
+    pairwise = run(
+        external, local, comparator, decider, executor="serial", scoring="pairwise"
+    )
     batched = run(
         external, local, comparator, decider,
         executor=executor, workers=2, scoring="batched",
@@ -184,3 +210,90 @@ def test_batched_equals_pairwise_under_pool_executors(problem, executor):
     assert_identical(batched, pairwise)
     assert batched.stats.executor == executor
     assert batched.stats.fallback_reason is None
+
+
+# ----------------------------------------------------------------------
+# chunk level: one scorer, ghost ids, mutated stores, warm re-runs
+# ----------------------------------------------------------------------
+@st.composite
+def any_deciders(draw, comparator):
+    decider = draw(deciders(comparator))
+    return PlainDecider(decider) if draw(st.booleans()) else decider
+
+
+def candidate_lists(store_ext, store_loc):
+    """Pairs over the stores' ids plus ids neither store holds."""
+    ext_ids = [r.id for r in store_ext] + [EX["ghost-e"]]
+    loc_ids = [r.id for r in store_loc] + [EX["ghost-l"]]
+    return st.lists(
+        st.tuples(st.sampled_from(ext_ids), st.sampled_from(loc_ids)),
+        min_size=1,
+        max_size=40,
+    )
+
+
+def mutate(data, store, prefix):
+    """Replace some records in place and add new ones (bumps version)."""
+    ids = [r.id for r in store]
+    edits = data.draw(
+        st.lists(st.one_of(st.sampled_from(ids), st.none()), min_size=1, max_size=4)
+    )
+    for index, record_id in enumerate(edits):
+        if record_id is None:
+            record_id = EX[f"{prefix}new{index}"]
+        store.add(Record(id=record_id, fields=data.draw(field_maps())))
+
+
+def pairwise_chunk(pairs, external, local, comparator, decider):
+    outcome = ChunkRunner(
+        external, local, comparator, decider, 0, scoring="pairwise"
+    ).run_chunk(pairs)
+    return outcome.pairs, outcome.decisions
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_scorer_equals_pairwise_across_ghosts_and_mutations(data):
+    comparator = data.draw(comparators())
+    decider = data.draw(any_deciders(comparator))
+    external = data.draw(record_stores("e"))
+    local = data.draw(record_stores("l"))
+    scorer = BatchScorer(comparator, decider)
+    assert (scorer._field_memos is None) == (len(comparator.comparators) == 1)
+    for _ in range(2):
+        pairs = data.draw(candidate_lists(external, local))
+        expected = pairwise_chunk(pairs, external, local, comparator, decider)
+        assert scorer.score_chunk(pairs, external, local) == expected
+        # the same pairs again, answered from the memo just filled
+        assert scorer.score_chunk(pairs, external, local) == expected
+        mutate(data, external, "e")
+        mutate(data, local, "l")
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_caller_scorer_equals_pairwise_across_store_mutation(data):
+    """Job level: a caller-provided scorer (the streaming engine's warm
+    scorer) over two runs with both stores mutated in between."""
+    comparator = data.draw(comparators())
+    decider = data.draw(any_deciders(comparator))
+    external = data.draw(record_stores("e"))
+    local = data.draw(record_stores("l"))
+    scorer = BatchScorer(comparator, decider)
+    for _ in range(2):
+        batched = LinkingJob(
+            StandardBlocking.on_field_prefix("pn", length=3),
+            comparator,
+            decider,
+            JobConfig(chunk_size=4, executor="serial"),
+            batch_scorer=scorer,
+        ).run(external, local)
+        pairwise = run(
+            external, local, comparator, decider,
+            executor="serial", scoring="pairwise",
+        )
+        assert_identical(batched, pairwise)
+        for a, b in zip(batched.matches, pairwise.matches):
+            assert a.vector.similarities == b.vector.similarities
+        mutate(data, external, "e")
+        mutate(data, local, "l")

@@ -10,7 +10,7 @@ of the columnar arithmetic.
 
 Scenario-level identity (all ten registered scenarios plus their
 streaming legs) lives in ``test_batched_scenarios.py``; randomized
-differential fuzzing in ``tests/core/test_batched_fuzz.py``.
+differential fuzzing in ``test_batched_fuzz.py``.
 """
 
 import pytest
@@ -21,6 +21,7 @@ from repro.engine import (
     LinkingJob,
     StreamingLinkingJob,
 )
+from repro.engine.executors.chunked import ChunkRunner
 from repro.linking import (
     FellegiSunterMatcher,
     FieldComparator,
@@ -94,6 +95,14 @@ def trained_fs(comparator):
     )
 
 
+def pairwise_chunk(pairs, external, local, comparator, decider):
+    """The pairwise chunk runner's ``(compared pairs, decision wires)``."""
+    outcome = ChunkRunner(
+        external, local, comparator, decider, 0, scoring="pairwise"
+    ).run_chunk(pairs)
+    return outcome.pairs, outcome.decisions
+
+
 def assert_identical(a, b):
     """The repo's byte-identity notion: same decisions, same order."""
     assert a.matches == b.matches
@@ -135,12 +144,29 @@ class TestBatchScorerUnit:
         with pytest.raises(ValueError, match="customizes per-pair"):
             BatchScorer(CustomComparator(comparator.comparators), ThresholdMatcher())
 
-    def test_decider_compilation(self, comparator):
-        assert BatchScorer(comparator, ThresholdMatcher()).compiled
-        untrained = FellegiSunterMatcher(comparator)
-        assert not BatchScorer(comparator, untrained).compiled
-        assert BatchScorer(comparator, trained_fs(comparator)).compiled
-        assert not BatchScorer(comparator, RecordingDecider()).compiled
+    def test_decider_compilation(self, comparator, stores):
+        """A compiled decider's decision is memoized with the vector; any
+        other decider leaves status and score to a per-pair call."""
+        external, local = stores
+        pairs = [(EX["e0"], EX["l0"])]
+
+        def memo_entry(scorer):
+            (entry,) = scorer._pair_memo.values()
+            return entry
+
+        for decider in (ThresholdMatcher(), trained_fs(comparator)):
+            scorer = BatchScorer(comparator, decider)
+            scorer.score_chunk(pairs, external, local)
+            assert memo_entry(scorer)[1] is MatchStatus.MATCH
+        scorer = BatchScorer(comparator, RecordingDecider())
+        scorer.score_chunk(pairs, external, local)
+        assert memo_entry(scorer)[1] is None
+        # an untrained matcher is decided per pair, so it raises exactly
+        # as the pairwise path does
+        scorer = BatchScorer(comparator, FellegiSunterMatcher(comparator))
+        with pytest.raises(RuntimeError, match="train"):
+            scorer.score_chunk(pairs, external, local)
+        assert memo_entry(scorer)[1] is None
 
     @pytest.mark.parametrize(
         "make_decider",
@@ -153,23 +179,16 @@ class TestBatchScorerUnit:
     def test_decision_parity_over_full_cross_product(
         self, comparator, stores, make_decider
     ):
-        """Every pair's vector and decision equal the pairwise path exactly."""
+        """Every pair's wire — vector, aggregate, status, score — equals the
+        pairwise path exactly, cold and from a warm memo."""
         external, local = stores
         decider = make_decider(comparator)
+        pairs = [(left.id, right.id) for left in external for right in local]
+        expected = pairwise_chunk(pairs, external, local, comparator, decider)
+        assert expected[1]  # some pairs are emitted, so wires are compared
         scorer = BatchScorer(comparator, decider)
-        ext_profiles = scorer.columns_for(external)
-        loc_profiles = scorer.columns_for(local)
-        for left in external:
-            for right in local:
-                vector = comparator.compare(left, right)
-                expected = decider.decide(vector)
-                status, score, similarities, aggregate = scorer.decision_for(
-                    ext_profiles[left.id], loc_profiles[right.id], left, right
-                )
-                assert similarities == vector.similarities
-                assert aggregate == vector.aggregate  # exact float, not approx
-                assert status is expected.status
-                assert score == expected.score
+        assert scorer.score_chunk(pairs, external, local) == expected
+        assert scorer.score_chunk(pairs, external, local) == expected  # warm
 
     def test_uncompiled_decider_runs_per_pair_on_real_records(
         self, comparator, stores
@@ -177,13 +196,7 @@ class TestBatchScorerUnit:
         external, local = stores
         decider = RecordingDecider()
         scorer = BatchScorer(comparator, decider)
-        ext_profiles = scorer.columns_for(external)
-        loc_profiles = scorer.columns_for(local)
-        left, right = external.get(EX["e0"]), local.get(EX["l0"])
-        for _ in range(2):
-            scorer.decision_for(
-                ext_profiles[left.id], loc_profiles[right.id], left, right
-            )
+        scorer.score_chunk([(EX["e0"], EX["l0"])] * 2, external, local)
         # the vector is memoized but the decider still saw both calls
         assert decider.seen == [(EX["e0"], EX["l0"]), (EX["e0"], EX["l0"])]
         assert scorer.pair_misses == 1
@@ -225,12 +238,107 @@ class TestBatchScorerUnit:
         scorer = BatchScorer(comparator, ThresholdMatcher())
         before = scorer.columns_for(external)
         assert scorer.columns_for(external) is before  # cached by version
+        known = {record.id: before[record.id] for record in external}
         external.add(record("e6", "new-part"))
         after = scorer.columns_for(external)
         assert after is not before
-        assert EX["e6"] in after
+        assert len(after) == 0  # a fresh column starts empty
+        assert after[EX["e6"]] is not None
         # vocabularies are append-only: previously handed-out ids survive
-        assert all(after[rid] == pid for rid, pid in before.items())
+        assert all(after[rid] == pid for rid, pid in known.items())
+
+    def test_columns_intern_only_the_records_pairs_name(self, comparator, stores):
+        external, local = stores
+        scorer = BatchScorer(comparator, ThresholdMatcher())
+        column = scorer.columns_for(external)
+        assert len(column) == 0  # nothing interned before a pair names it
+        scorer.score_chunk([(EX["e0"], EX["l0"])], external, local)
+        assert set(column) == {EX["e0"]}
+        assert set(scorer.columns_for(local)) == {EX["l0"]}
+        assert column[EX["ghost"]] is None
+        assert EX["ghost"] not in column  # a missing id is not cached
+
+
+class TestMemoLayout:
+    """One memo entry per distinct key, and compact entries."""
+
+    def test_single_field_keeps_no_field_memo(self, comparator):
+        assert BatchScorer(comparator, ThresholdMatcher())._field_memos is not None
+        single = RecordComparator([FieldComparator("pn")])
+        assert BatchScorer(single, ThresholdMatcher())._field_memos is None
+
+    def test_value_memo_only_for_multi_valued_signatures(self, comparator, stores):
+        external, local = stores
+        scorer = BatchScorer(comparator, ThresholdMatcher())
+        single = [(EX[e], EX[l]) for e in ("e0", "e1", "e2") for l in ("l0", "l1", "l2")]
+        scorer.score_chunk(single, external, local)
+        assert all(not memo for memo in scorer._value_memos)
+        # e4 holds two part numbers: its cross-products go through the
+        # value memo, one entry per (value, value) pair
+        scorer.score_chunk([(EX["e4"], EX["l0"]), (EX["e4"], EX["l3"])], external, local)
+        assert len(scorer._value_memos[0]) == 4
+
+    def test_fields_sharing_a_similarity_share_its_value_memo(self, comparator):
+        scorer = BatchScorer(comparator, ThresholdMatcher())
+        assert scorer._value_memos[0] is scorer._value_memos[1]
+        from repro.text.similarity import levenshtein_similarity
+
+        mixed = RecordComparator(
+            [FieldComparator("pn"), FieldComparator("maker", similarity=levenshtein_similarity)]
+        )
+        scorer = BatchScorer(mixed, ThresholdMatcher())
+        assert scorer._value_memos[0] is not scorer._value_memos[1]
+
+    def test_compiled_non_matches_keep_only_their_status(self, comparator, stores):
+        external, local = stores
+        matcher = ThresholdMatcher(match_threshold=0.9)
+        scorer = BatchScorer(comparator, matcher)
+        pairs = [(e.id, l.id) for e in external for l in local]
+        _, wires = scorer.score_chunk(pairs, external, local)
+        entries = list(scorer._pair_memo.values())
+        kept = [entry for entry in entries if entry is not MatchStatus.NON_MATCH]
+        assert len(kept) < len(entries)
+        # (aggregate, status, score, one similarity per field)
+        assert all(len(entry) == 3 + 2 for entry in kept)
+        assert {entry[1] for entry in kept} == {MatchStatus.MATCH}
+        assert len(wires) >= len(kept)
+        # a warm pass answers the bare NON_MATCH entries from the memo
+        # and still equals the pairwise path
+        expected = pairwise_chunk(pairs, external, local, comparator, matcher)
+        misses = scorer.pair_misses
+        assert scorer.score_chunk(pairs, external, local) == expected
+        assert scorer.pair_misses == misses
+
+    def test_uncompiled_deciders_keep_every_vector(self, comparator, stores):
+        external, local = stores
+        scorer = BatchScorer(comparator, RecordingDecider())
+        pairs = [(e.id, l.id) for e in external for l in local]
+        scorer.score_chunk(pairs, external, local)
+        assert all(
+            isinstance(entry, tuple) and entry[1] is None and entry[2] is None
+            for entry in scorer._pair_memo.values()
+        )
+
+    def test_a_finished_scorer_is_freed_without_the_cycle_collector(
+        self, comparator, stores
+    ):
+        import gc
+        import weakref
+
+        external, local = stores
+        decider = RecordingDecider()
+        scorer = BatchScorer(comparator, decider)
+        scorer.score_chunk([(EX["e0"], EX["l0"])], external, local)
+        # the scorer holds the only other reference to its decider
+        ref = weakref.ref(decider)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del decider, scorer
+            assert ref() is None  # no column -> scorer reference cycle
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestBatchedJobIdentity:
@@ -241,7 +349,8 @@ class TestBatchedJobIdentity:
         external, local = stores
         matcher = ThresholdMatcher(match_threshold=0.9, possible_threshold=0.6)
         pairwise = LinkingJob(
-            make_blocking(), comparator, matcher, JobConfig(executor="serial")
+            make_blocking(), comparator, matcher,
+            JobConfig(executor="serial", scoring="pairwise"),
         ).run(external, local)
         batched = LinkingJob(
             make_blocking(),
@@ -265,7 +374,8 @@ class TestBatchedJobIdentity:
         external, local = stores
         matcher = trained_fs(comparator)
         pairwise = LinkingJob(
-            make_blocking(), comparator, matcher, JobConfig(executor="serial")
+            make_blocking(), comparator, matcher,
+            JobConfig(executor="serial", scoring="pairwise"),
         ).run(external, local)
         batched = LinkingJob(
             make_blocking(), comparator, matcher,
@@ -280,7 +390,7 @@ class TestBatchedJobIdentity:
         external, local = stores
         pairwise = LinkingJob(
             make_blocking(), comparator, RecordingDecider(),
-            JobConfig(executor="serial"),
+            JobConfig(executor="serial", scoring="pairwise"),
         ).run(external, local)
         batched = LinkingJob(
             make_blocking(), comparator, RecordingDecider(),
@@ -294,7 +404,7 @@ class TestBatchedJobIdentity:
         matcher = ThresholdMatcher(match_threshold=0.8)
         pairwise = LinkingJob(
             make_blocking(), comparator, matcher,
-            JobConfig(executor="serial", best_match_only=True),
+            JobConfig(executor="serial", best_match_only=True, scoring="pairwise"),
         ).run(external, local)
         batched = LinkingJob(
             make_blocking(), comparator, matcher,
@@ -332,7 +442,8 @@ class TestBatchedDegradation:
         )
         matcher = ThresholdMatcher(match_threshold=0.9)
         pairwise = LinkingJob(
-            make_blocking(), custom, matcher, JobConfig(executor="serial")
+            make_blocking(), custom, matcher,
+            JobConfig(executor="serial", scoring="pairwise"),
         ).run(external, local)
         degraded = LinkingJob(
             make_blocking(), custom, matcher,
@@ -399,7 +510,7 @@ class TestBatchedDegradation:
         matcher = ThresholdMatcher(match_threshold=0.9)
         serial = LinkingJob(
             QGramBlocking("pn", q=3, threshold=0.6), comparator, matcher,
-            JobConfig(executor="serial"),
+            JobConfig(executor="serial", scoring="pairwise"),
         ).run(external, local)
         result = LinkingJob(
             QGramBlocking("pn", q=3, threshold=0.6), comparator, matcher,
@@ -437,7 +548,7 @@ class TestStreamingBatched:
             make_blocking(),
             comparator,
             ThresholdMatcher(match_threshold=0.9, possible_threshold=0.6),
-            JobConfig(executor="serial"),
+            JobConfig(executor="serial", scoring="pairwise"),
         ).run(RecordStore(EXTERNAL_RECORDS), RecordStore(LOCAL_RECORDS))
 
     @pytest.mark.parametrize("executor", ("serial", "process", "shard"))
@@ -546,11 +657,14 @@ class TestBatchedStatsFormat:
         assert "scoring=batched" in formatted
         assert "batched scoring:" in formatted
         assert "reuse" in formatted
+        # the scorer never consults the similarity cache: no 0/0 line
+        assert "similarity cache" not in formatted
 
-    def test_pairwise_run_format_is_unchanged(self, comparator, stores):
+    def test_pairwise_run_reports_scoring_and_cache(self, comparator, stores):
         formatted = self.run("pairwise", comparator, stores).stats.format()
-        assert "scoring=" not in formatted
+        assert "scoring=pairwise" in formatted
         assert "batched scoring:" not in formatted
+        assert "similarity cache:" in formatted
         assert "hit rate" in formatted
 
     def test_job_config_rejects_unknown_scoring(self):

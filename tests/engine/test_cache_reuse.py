@@ -5,13 +5,18 @@ The contract: handing a :class:`CachedRecordComparator` to a
 its stream-owned one) keeps memoized similarities alive across ``run``
 calls and deltas, changes **no** output anywhere, and keeps per-run
 ``EngineStats`` counters per-run (deltas, not lifetime totals).
+
+The similarity cache belongs to pairwise scoring, which the serve path
+still runs, so the cache tests pin ``scoring="pairwise"``; their
+batched twins check the same persistence for the columnar scorer's
+profile-pair memo.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.engine import CachedRecordComparator, JobConfig, LinkingJob
+from repro.engine import BatchScorer, CachedRecordComparator, JobConfig, LinkingJob
 from repro.engine.streaming import StreamingLinkingJob
 from repro.linking import (
     FieldComparator,
@@ -64,13 +69,35 @@ class TestLinkingJobReuse:
     def test_second_run_hits_the_warm_cache(self, stores):
         external, local = stores
         shared = CachedRecordComparator(_bare(), 1000)
-        job = _job(shared)
+        job = _job(shared, scoring="pairwise")
         first = job.run(external, local)
         assert first.stats.cache_misses > 0
         second = job.run(external, local)
         # every similarity was memoized by the first run
         assert second.stats.cache_misses == 0
         assert second.stats.cache_hits == first.stats.cache_hits + first.stats.cache_misses
+        assert second.match_pairs == first.match_pairs
+
+    def test_second_run_hits_the_warm_scorer(self, stores):
+        """Batched twin: a caller-provided scorer keeps its profile-pair
+        memo across runs, and the pairwise cache is never consulted."""
+        external, local = stores
+        matcher = ThresholdMatcher(match_threshold=0.9)
+        job = LinkingJob(
+            StandardBlocking.on_field_prefix("pn", length=4),
+            _bare(),
+            matcher,
+            JobConfig(executor="serial", chunk_size=2),
+            batch_scorer=BatchScorer(_bare(), matcher),
+        )
+        first = job.run(external, local)
+        assert first.stats.scoring == "batched"
+        assert first.stats.batch_pair_misses > 0
+        assert first.stats.batch_pair_hits + first.stats.batch_pair_misses == first.compared
+        second = job.run(external, local)
+        assert second.stats.batch_pair_misses == 0
+        assert second.stats.batch_pair_hits == second.compared == first.compared
+        assert second.stats.cache_hits + second.stats.cache_misses == 0
         assert second.match_pairs == first.match_pairs
 
     def test_stats_are_per_run_not_lifetime(self, stores):
@@ -136,7 +163,7 @@ class TestStreamingCrossDelta:
             local,
             _bare(),
             ThresholdMatcher(match_threshold=0.9),
-            JobConfig(executor="serial", chunk_size=2),
+            JobConfig(executor="serial", chunk_size=2, scoring="pairwise"),
             blocking=StandardBlocking.on_field_prefix("pn", length=4),
         )
         job.ingest(first_delta)
@@ -147,6 +174,27 @@ class TestStreamingCrossDelta:
         assert second.cache_misses == 0
         assert second.cache_hits > 0
         assert first.cache_misses > 0
+
+    def test_second_delta_reuses_first_deltas_scorer(self, stores):
+        """Batched twin: the stream-owned scorer serves re-sent records
+        (new ids, same fields) from delta 0's profile-pair memo."""
+        _, local = stores
+        first_delta, resent = _deltas()
+        job = StreamingLinkingJob(
+            local,
+            _bare(),
+            ThresholdMatcher(match_threshold=0.9),
+            JobConfig(executor="serial", chunk_size=2),
+            blocking=StandardBlocking.on_field_prefix("pn", length=4),
+        )
+        job.ingest(first_delta)
+        first = job._delta_stats[-1]
+        job.ingest(resent)
+        second = job._delta_stats[-1]
+        assert first.batch_pair_misses > 0
+        assert second.batch_pair_misses == 0
+        assert second.batch_pair_hits == second.pairs_compared > 0
+        assert second.cache_hits + second.cache_misses == 0
 
     def test_stream_result_identical_to_batch_union(self, stores):
         _, local = stores
@@ -250,9 +298,26 @@ class TestConfigReplaceStillWorks:
             local,
             _bare(),
             ThresholdMatcher(match_threshold=0.9),
-            JobConfig(executor="serial"),
+            JobConfig(executor="serial", scoring="pairwise"),
             blocking=StandardBlocking.on_field_prefix("pn", length=4),
         )
         assert isinstance(job._comparator, CachedRecordComparator)
         config = dataclasses.replace(job._config, best_match_only=False)
         assert config.cache_size == job._config.cache_size
+
+    def test_streaming_best_match_replacement_keeps_shared_scorer(self, stores):
+        """Batched twin: the stream owns one scorer and no cache wrapper,
+        and the per-delta config replace keeps the batched path."""
+        _, local = stores
+        bare = _bare()
+        job = StreamingLinkingJob(
+            local,
+            bare,
+            ThresholdMatcher(match_threshold=0.9),
+            JobConfig(executor="serial"),
+            blocking=StandardBlocking.on_field_prefix("pn", length=4),
+        )
+        assert job._comparator is bare
+        assert isinstance(job._batch_scorer, BatchScorer)
+        config = dataclasses.replace(job._config, best_match_only=False)
+        assert config.scoring == job._config.scoring == "batched"

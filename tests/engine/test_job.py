@@ -165,7 +165,7 @@ class TestSerialEquivalence:
             FullIndex(),
             comparator,
             ThresholdMatcher(match_threshold=0.95),
-            JobConfig(executor="serial", cache_size=0),
+            JobConfig(executor="serial", cache_size=0, scoring="pairwise"),
         )
         result = job.run(external, local)
         assert result.matches == serial_result.matches
@@ -174,6 +174,24 @@ class TestSerialEquivalence:
         # pair is honest traffic, not a silent 0/0 hit rate
         assert result.stats.cache_misses > 0
         assert result.stats.cache_hit_rate == 0.0
+
+    def test_cache_size_is_inert_under_batched_scoring(
+        self, comparator, stores, serial_result
+    ):
+        """Batched twin: the scorer never consults the similarity cache,
+        so its capacity changes nothing and its counters stay 0/0."""
+        external, local = stores
+        result = LinkingJob(
+            FullIndex(),
+            comparator,
+            ThresholdMatcher(match_threshold=0.95),
+            JobConfig(executor="serial", cache_size=0),
+        ).run(external, local)
+        assert result.stats.scoring == "batched"
+        assert result.matches == serial_result.matches
+        assert result.stats.cache_hits == result.stats.cache_misses == 0
+        stats = result.stats
+        assert stats.batch_pair_hits + stats.batch_pair_misses == stats.pairs_compared
 
     def test_best_match_only_disabled(self, comparator):
         external = RecordStore([record("e1", "abc")])
@@ -198,7 +216,7 @@ class TestStats:
             FullIndex(),
             comparator,
             ThresholdMatcher(0.95),
-            JobConfig(executor="serial", chunk_size=4),
+            JobConfig(executor="serial", chunk_size=4, scoring="pairwise"),
         )
         stats = job.run(external, local).stats
         assert stats.chunk_count == 7  # ceil(25 / 4)
@@ -209,14 +227,45 @@ class TestStats:
         assert 0.0 <= stats.cache_hit_rate <= 1.0
         assert stats.cache_hits + stats.cache_misses > 0
 
+    def test_stats_shape_batched(self, comparator, stores):
+        external, local = stores
+        job = LinkingJob(
+            FullIndex(),
+            comparator,
+            ThresholdMatcher(0.95),
+            JobConfig(executor="serial", chunk_size=4),
+        )
+        stats = job.run(external, local).stats
+        assert stats.scoring == "batched"
+        assert stats.chunk_count == 7  # ceil(25 / 4)
+        assert stats.pairs_compared == 25
+        assert stats.batch_pair_hits + stats.batch_pair_misses == stats.pairs_compared
+        assert 0.0 <= stats.batch_reuse_rate <= 1.0
+        assert stats.cache_hits + stats.cache_misses == 0
+
     def test_cache_hits_on_repeated_values(self, comparator):
         # every external shares the same maker -> maker sims repeat
         external = RecordStore([record(f"e{i}", f"pn-{i}") for i in range(10)])
         local = RecordStore([record(f"l{i}", f"pn-{i}") for i in range(10)])
-        job = LinkingJob(FullIndex(), comparator, ThresholdMatcher(0.95), JobConfig())
+        job = LinkingJob(
+            FullIndex(), comparator, ThresholdMatcher(0.95), JobConfig(scoring="pairwise")
+        )
         stats = job.run(external, local).stats
         assert stats.cache_hits > 0
         assert stats.cache_hit_rate > 0.4
+        assert stats.reuse_rate == stats.cache_hit_rate
+
+    def test_batch_hits_on_repeated_profiles(self, comparator):
+        # two distinct external profiles against ten local ones: 20
+        # profile pairs scored, the other 80 pairs served from the memo
+        external = RecordStore([record(f"e{i}", f"pn-{i % 2}") for i in range(10)])
+        local = RecordStore([record(f"l{i}", f"pn-{i}") for i in range(10)])
+        job = LinkingJob(FullIndex(), comparator, ThresholdMatcher(0.95), JobConfig())
+        stats = job.run(external, local).stats
+        assert stats.batch_pair_misses == 20
+        assert stats.batch_pair_hits == 80
+        assert stats.batch_reuse_rate == 0.8
+        assert stats.reuse_rate == 0.8  # the memo of the path that ran
 
     def test_empty_candidate_set(self, comparator):
         external = RecordStore([record("e1", "abc")])
@@ -249,11 +298,22 @@ class TestStats:
     def test_format_mentions_throughput_and_cache(self, comparator, stores):
         external, local = stores
         result = LinkingJob(
-            FullIndex(), comparator, ThresholdMatcher(0.95), JobConfig()
+            FullIndex(), comparator, ThresholdMatcher(0.95), JobConfig(scoring="pairwise")
         ).run(external, local)
         text = result.stats.format()
         assert "pairs/s" in text
         assert "hit rate" in text
+
+    def test_format_mentions_throughput_and_memo_reuse(self, comparator, stores):
+        external, local = stores
+        result = LinkingJob(
+            FullIndex(), comparator, ThresholdMatcher(0.95), JobConfig()
+        ).run(external, local)
+        text = result.stats.format()
+        assert "pairs/s" in text
+        assert "scoring=batched" in text
+        assert "reuse" in text
+        assert "hit rate" not in text
 
 
 class TestProgress:

@@ -20,7 +20,7 @@ import functools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import BatchScorer, CachedRecordComparator
+from repro.engine.executors.chunked import ChunkRunner
 from repro.engine.executors.protocol import (
     build_work_units,
     decode_work_unit,
@@ -105,11 +105,9 @@ def _assert_roundtrip_transparent(blocking, external, local, shards, scoring):
             blocking,
             external,
             local,
-            CachedRecordComparator(comparator, 512),
-            decider,
+            ChunkRunner(external, local, comparator, decider, 512, scoring=scoring),
             plan,
             unit.shard,
-            BatchScorer(comparator, decider) if scoring == "batched" else None,
         )
         assert wired == direct
         # the result envelope is transparent too

@@ -207,7 +207,7 @@ class TestBlockingComparison:
         for row in rows:
             assert row.seconds >= 0.0
             assert row.pairs_per_second >= 0.0
-            assert 0.0 <= row.cache_hit_rate <= 1.0
+            assert 0.0 <= row.reuse_rate <= 1.0
 
 
 class TestProviderBatch:

@@ -2,7 +2,7 @@
 
 The session-scoped ``scenario_report`` runner lives in the top-level
 ``tests/conftest.py`` so the batched-scoring differential layer under
-``tests/engine`` shares the same memoized pairwise reports.
+``tests/engine`` shares the same memoized reports.
 """
 
 from pathlib import Path

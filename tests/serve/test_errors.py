@@ -140,6 +140,38 @@ class TestBadContentLength:
         assert body["matches"] == 0
 
 
+class TestChunkedBodies:
+    def test_chunked_post_is_one_json_error_then_eof(self, daemon):
+        """A chunked body is never parsed as the next request: the daemon
+        answers one JSON error and closes, so the pipelined GET after it
+        gets no (HTML) reply on this connection."""
+        host, port = daemon.address
+        body = b'{"records": []}'
+        request = (
+            f"POST /link HTTP/1.1\r\nHost: {host}\r\n"
+            "Content-Type: application/json\r\n"
+            "Transfer-Encoding: chunked\r\n\r\n"
+        ).encode("ascii")
+        request += b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+        request += f"GET /stats HTTP/1.1\r\nHost: {host}\r\n\r\n".encode("ascii")
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            sock.sendall(request)
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        reply = b"".join(chunks)
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert b"<html" not in reply.lower()
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert int(head.split()[1]) == 411
+        assert "Transfer-Encoding" in json.loads(payload)["error"]
+
+    def test_daemon_still_answers_afterwards(self, daemon):
+        status, _, body = _post(daemon, "/link", payload={"records": []})
+        assert status == 200
+        assert body["matches"] == 0
+
+
 class TestShutdown:
     def test_a_daemon_that_never_served_shuts_down(self, bundle_path):
         daemon = serve_bundle(bundle_path)

@@ -263,6 +263,37 @@ class TestOneAnswerPath:
             assert not hasattr(session, gone)
 
 
+class TestServeStaysPairwise:
+    """The daemon answers from the bundle's warm similarity cache, which
+    only pairwise scoring fills and reads: the bundle builder, ``link``
+    and ``delta`` pin ``scoring="pairwise"`` while the engine default is
+    ``batched``."""
+
+    def test_engine_default_is_batched(self):
+        assert JobConfig().scoring == "batched"
+
+    def test_warm_bundle_exports_similarities(self, tmp_path):
+        path = tmp_path / "warm"
+        build_bundle(path, preset="tiny", seed=SEED, blocking="prefix", warm_items=15)
+        cache = load_bundle(path).comparator_cache
+        assert cache is not None
+        assert len(cache["similarities"]) > 0
+        assert len(cache["normalized"]) > 0
+
+    def test_link_and_delta_score_pairwise(self, session, materials):
+        _, _, external = materials
+        assert session.link(external).stats.scoring == "pairwise"
+        result, _ = session.delta("pinned", list(external))
+        assert result.stats.scoring == "pairwise"
+
+    def test_repeated_link_raises_the_cache_hits(self, session, materials):
+        _, _, external = materials
+        session.link(external)
+        hits = session.stats()["cache"]["hits"]
+        session.link(external)
+        assert session.stats()["cache"]["hits"] > hits
+
+
 class TestWarmLearning:
     def test_rules_bundle_resumes_incremental_learning(self, tmp_path, materials):
         from repro.core.serialize import rules_to_json

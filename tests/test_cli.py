@@ -183,6 +183,19 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "linked" in out
         assert "pairs/s" in out
+        # batched scoring by default: its memo report, not the cache's
+        assert "scoring=batched" in out
+        assert "reuse" in out
+        assert "similarity cache" not in out
+
+    def test_link_tiny_serial_pairwise_reports_the_cache(self, capsys):
+        code = main(
+            ["link", "--preset", "tiny", "--test-items", "40",
+             "--executor", "serial", "--chunk-size", "64", "--scoring", "pairwise"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "scoring=pairwise" in out
         assert "hit rate" in out
 
     @pytest.mark.parametrize("blocking", ["qgram", "sorted", "canopy"])
@@ -261,6 +274,9 @@ class TestExecution:
     def test_link_scoring_flag_parses(self):
         args = build_parser().parse_args(["link", "--scoring", "batched"])
         assert args.scoring == "batched"
+        assert build_parser().parse_args(["link"]).scoring == "batched"
+        args = build_parser().parse_args(["link", "--scoring", "pairwise"])
+        assert args.scoring == "pairwise"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["link", "--scoring", "columnar"])
 
