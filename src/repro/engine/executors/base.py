@@ -56,6 +56,7 @@ class ChunkOutcome:
     batch_hits: int = 0
     batch_misses: int = 0
     batch_profiles: int = 0
+    batch_bounded: int = 0
 
 
 def update_best_match(best: Dict[Term, MatchDecision], decision: MatchDecision) -> None:
@@ -111,6 +112,7 @@ class FoldState:
         self.batch_hits = 0
         self.batch_misses = 0
         self.batch_profiles = 0
+        self.batch_bounded = 0
         # transport counters: work units that crossed a serialization
         # boundary (the ``worker`` executor), and the bytes they cost
         self.work_units = 0
@@ -124,6 +126,7 @@ class FoldState:
         self.batch_hits += outcome.batch_hits
         self.batch_misses += outcome.batch_misses
         self.batch_profiles += outcome.batch_profiles
+        self.batch_bounded += outcome.batch_bounded
         self.fold_decisions(outcome.decisions)
         self.chunks_done += 1
 

@@ -89,6 +89,7 @@ class ChunkRunner:
     def _run_chunk_batched(self, pairs: List[Pair]) -> ChunkOutcome:
         scorer = self.scorer
         hits_before, misses_before = scorer.pair_hits, scorer.pair_misses
+        bounded_before = scorer.pair_bounded
         profiles_before = scorer.profile_count
         compared, decisions = scorer.score_chunk(pairs, self._external, self._local)
         # per-chunk deltas: exact, because a scorer serves one chunk at
@@ -101,6 +102,7 @@ class ChunkRunner:
             batch_hits=scorer.pair_hits - hits_before,
             batch_misses=scorer.pair_misses - misses_before,
             batch_profiles=scorer.profile_count - profiles_before,
+            batch_bounded=scorer.pair_bounded - bounded_before,
         )
 
 

@@ -468,6 +468,7 @@ def worker_result_to_payload(outcome: ShardOutcome) -> Dict[str, Any]:
         "batch_hits": outcome.batch_hits,
         "batch_misses": outcome.batch_misses,
         "batch_profiles": outcome.batch_profiles,
+        "batch_bounded": outcome.batch_bounded,
     }
     return _envelope(WORKER_RESULT_FORMAT, body)
 
@@ -493,6 +494,8 @@ def worker_result_from_payload(payload: Mapping[str, Any]) -> ShardOutcome:
             batch_hits=body["batch_hits"],
             batch_misses=body["batch_misses"],
             batch_profiles=body["batch_profiles"],
+            # additive: a body without it decodes as an unbounded run
+            batch_bounded=body.get("batch_bounded", 0),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise WorkUnitError(f"malformed worker-result body: {exc}") from exc

@@ -91,6 +91,7 @@ def run_shard_scan(
         batch_hits=sum(outcome.batch_hits for outcome in outcomes),
         batch_misses=sum(outcome.batch_misses for outcome in outcomes),
         batch_profiles=sum(outcome.batch_profiles for outcome in outcomes),
+        batch_bounded=sum(outcome.batch_bounded for outcome in outcomes),
     )
 
 
@@ -142,6 +143,7 @@ class ShardProgress:
         fold.batch_hits += outcome.batch_hits
         fold.batch_misses += outcome.batch_misses
         fold.batch_profiles += outcome.batch_profiles
+        fold.batch_bounded += outcome.batch_bounded
         self._compared += outcome.compared
         on_progress = request.config.on_progress
         if on_progress is not None:

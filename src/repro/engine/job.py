@@ -307,6 +307,7 @@ class LinkingJob:
             batch_profiles=fold.batch_profiles,
             batch_pair_hits=fold.batch_hits,
             batch_pair_misses=fold.batch_misses,
+            batch_bounded=fold.batch_bounded,
             work_units=fold.work_units,
             work_unit_bytes=fold.work_unit_bytes,
         )

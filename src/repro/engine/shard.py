@@ -151,6 +151,7 @@ class ShardOutcome:
     batch_hits: int = 0
     batch_misses: int = 0
     batch_profiles: int = 0
+    batch_bounded: int = 0
 
 
 def merge_shard_groups(outcomes: List[ShardOutcome]) -> Iterator[ShardGroup]:

@@ -60,7 +60,10 @@ class EngineStats:
     record profiles interned, profile pairs scored from scratch
     (``batch_pair_misses``) and pairs served whole from the profile-pair
     memo (``batch_pair_hits``) — summed across workers like the cache
-    counters. The similarity-cache counters stay untouched by batched
+    counters. ``batch_bounded`` counts the fresh pairs among the misses
+    that the exact early exit ruled NON_MATCH without scoring them (0
+    unless a threshold decider and an all-Jaro-Winkler comparator allow
+    the bound). The similarity-cache counters stay untouched by batched
     runs (the scorer never consults the pairwise cache), so a zero hit
     rate there is honest, not a regression.
 
@@ -95,6 +98,7 @@ class EngineStats:
     batch_profiles: int = 0
     batch_pair_hits: int = 0
     batch_pair_misses: int = 0
+    batch_bounded: int = 0
     work_units: int = 0
     work_unit_bytes: int = 0
 
@@ -149,7 +153,8 @@ class EngineStats:
                 f"batched scoring: {self.batch_profiles} profiles, "
                 f"{self.batch_pair_misses} pairs scored / "
                 f"{self.batch_pair_hits} memoized "
-                f"(reuse {self.batch_reuse_rate:.1%})"
+                f"(reuse {self.batch_reuse_rate:.1%}), "
+                f"bounded {self.batch_bounded} of {self.batch_pair_misses}"
             )
         if self.index_features or self.index_postings:
             mean_posting = (

@@ -370,6 +370,7 @@ class StreamingLinkingJob:
             batch_profiles=sum(s.batch_profiles for s in per_delta),
             batch_pair_hits=sum(s.batch_pair_hits for s in per_delta),
             batch_pair_misses=sum(s.batch_pair_misses for s in per_delta),
+            batch_bounded=sum(s.batch_bounded for s in per_delta),
             work_units=sum(s.work_units for s in per_delta),
             work_unit_bytes=sum(s.work_unit_bytes for s in per_delta),
         )

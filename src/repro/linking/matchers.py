@@ -105,6 +105,19 @@ class ThresholdMatcher:
 
         return decide_scored
 
+    @property
+    def non_match_floor(self) -> float:
+        """The lowest aggregate not ruled NON_MATCH: the match threshold,
+        or the possible threshold when that band is set.
+
+        Read by the batched scoring path next to :meth:`compile_batched`:
+        a pair whose aggregate is bounded below the floor is skipped
+        unscored, because its decision is NON_MATCH whatever it scores.
+        """
+        if self._possible is None:
+            return self._match
+        return min(self._match, self._possible)
+
 
 class FellegiSunterMatcher:
     """Fellegi-Sunter probabilistic matcher with supervised m/u training.

@@ -123,9 +123,19 @@ def jaro_similarity(a: str, b: str) -> float:
 
 
 def jaro_winkler_similarity(a: str, b: str, prefix_scale: float = 0.1, max_prefix: int = 4) -> float:
-    """Jaro similarity boosted for common prefixes (Winkler's variant)."""
+    """Jaro similarity boosted for common prefixes (Winkler's variant).
+
+    Winkler's condition ``prefix_scale * max_prefix <= 1`` keeps the
+    result in ``[0, 1]``. A negative or fractional ``max_prefix`` is
+    never equal to the running prefix count, so it would uncap the
+    count; both are rejected.
+    """
     if not 0.0 <= prefix_scale <= 0.25:
         raise ValueError("prefix_scale must be in [0, 0.25]")
+    if max_prefix < 0 or max_prefix % 1 or prefix_scale * max_prefix > 1.0:
+        raise ValueError(
+            "max_prefix must be a whole number >= 0 with prefix_scale * max_prefix <= 1"
+        )
     jaro = jaro_similarity(a, b)
     prefix = 0
     for ch_a, ch_b in zip(a, b):

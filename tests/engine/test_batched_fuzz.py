@@ -17,12 +17,24 @@ mutated (version bumped, records replaced in place) between two runs of
 the same scorer, and each chunk scored twice, cold and then from the
 warm memo. Single- and multi-field comparators over single- and
 multi-valued fields reach every memo level the scorer keeps or skips.
+
+The early-exit leg aims at the scorer's exact bound: Jaro-Winkler
+comparators (plain, or a ``partial`` with its own prefix parameters)
+over values from a three-letter alphabet with shared stems, so
+character counts collide and common prefixes run long, under threshold
+deciders whose floor sits exactly on a drawn pair's similarity or on
+its bound.
 """
+
+import math
+import os
+from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import BatchScorer, JobConfig, LinkingJob
+from repro.engine.batch import _character_bags, _winkler_bound
 from repro.engine.executors.chunked import ChunkRunner
 from repro.linking import (
     FellegiSunterMatcher,
@@ -34,6 +46,7 @@ from repro.linking import (
     ThresholdMatcher,
 )
 from repro.rdf import EX
+from repro.text.normalize import normalize_value
 from repro.text.similarity import (
     jaro_winkler_similarity,
     lcs_similarity,
@@ -297,3 +310,121 @@ def test_caller_scorer_equals_pairwise_across_store_mutation(data):
             assert a.vector.similarities == b.vector.similarities
         mutate(data, external, "e")
         mutate(data, local, "l")
+
+
+# ----------------------------------------------------------------------
+# the exact early exit: floors on a pair's similarity or on its bound
+# ----------------------------------------------------------------------
+#: Kept near 3 s under the default profile; the pinned CI profile runs
+#: the long leg.
+EARLY_EXIT_EXAMPLES = 1000 if os.environ.get("HYPOTHESIS_PROFILE") == "ci" else 150
+
+#: ``(prefix_scale, max_prefix)`` pairs the kernel accepts, default first.
+WINKLER_PARAMETERS = ((0.1, 4), (0.125, 8), (0.2, 5), (0.25, 4), (0.05, 20), (0.0, 0))
+
+
+@st.composite
+def winkler_comparators(draw):
+    names = draw(st.lists(st.sampled_from(FIELDS), min_size=1, max_size=3, unique=True))
+    fields = []
+    for name in names:
+        prefix_scale, max_prefix = draw(st.sampled_from(WINKLER_PARAMETERS))
+        similarity = (
+            jaro_winkler_similarity
+            if (prefix_scale, max_prefix) == WINKLER_PARAMETERS[0] and draw(st.booleans())
+            else partial(
+                jaro_winkler_similarity, prefix_scale=prefix_scale, max_prefix=max_prefix
+            )
+        )
+        fields.append(
+            FieldComparator(
+                name,
+                similarity=similarity,
+                weight=draw(st.sampled_from((0.3, 1.0, 2.0, 3.0))),
+                missing_value=draw(st.sampled_from((0.0, 0.25, 0.5, 1.0))),
+            )
+        )
+    return RecordComparator(fields)
+
+
+@st.composite
+def small_alphabet_stores(draw, prefix):
+    # one stem longer than the default prefix cap, so a partial's own
+    # cap is what the bound must read
+    stems = [draw(st.text("abc", min_size=5, max_size=8))]
+    stems += draw(st.lists(st.text("abc", max_size=4), max_size=1))
+    value = st.builds(
+        lambda stem, tail: stem + tail, st.sampled_from(stems), st.text("xy-", max_size=2)
+    )
+    records = []
+    for index in range(draw(st.integers(min_value=1, max_value=6))):
+        fields = {}
+        for field in FIELDS:
+            values = draw(st.lists(value, max_size=2))
+            if values:
+                fields[field] = tuple(values)
+        records.append(Record(id=EX[f"{prefix}{index}"], fields=fields))
+    return RecordStore(records)
+
+
+def aggregate_bound(comparator, left, right):
+    """The bound of the pair's aggregate, as the scorer sums it."""
+    bag_of = _character_bags()
+    weighted = 0.0
+    for field in comparator.comparators:
+        prefix = getattr(field.similarity, "keywords", {})
+        left_values = [normalize_value(v) for v in left.values(field.field_name)]
+        right_values = [normalize_value(v) for v in right.values(field.field_name)]
+        if not left_values or not right_values:
+            bound = field.missing_value
+        else:
+            bound = max(
+                _winkler_bound(
+                    bag_of(a), max(len(a), 1), bag_of(b), max(len(b), 1),
+                    prefix.get("prefix_scale", 0.1), prefix.get("max_prefix", 4),
+                )
+                for a in left_values
+                for b in right_values
+            )
+        weighted += field.weight * bound
+    return weighted / sum(c.weight for c in comparator.comparators)
+
+
+@st.composite
+def exact_floors(draw, comparator, external, local):
+    """A floor on a drawn pair's aggregate or one ulp below it, or on
+    the pair's bound — always inside the threshold matcher's ``[0, 1]``."""
+    left = draw(st.sampled_from(list(external)))
+    right = draw(st.sampled_from(list(local)))
+    aggregate = comparator.compare(left, right).aggregate
+    floor = draw(
+        st.sampled_from(
+            (
+                aggregate,
+                math.nextafter(aggregate, 0.0),
+                aggregate_bound(comparator, left, right),
+            )
+        )
+    )
+    return min(max(floor, 0.0), 1.0)
+
+
+@given(st.data())
+@settings(max_examples=EARLY_EXIT_EXAMPLES, deadline=None)
+def test_bounded_scorer_equals_pairwise_at_exact_floors(data):
+    comparator = data.draw(winkler_comparators())
+    external = data.draw(small_alphabet_stores("e"))
+    local = data.draw(small_alphabet_stores("l"))
+    match = data.draw(exact_floors(comparator, external, local))
+    possible = data.draw(st.one_of(st.none(), exact_floors(comparator, external, local)))
+    if possible is not None:
+        possible = min(possible, match)  # a band below match, or none wide
+    decider = ThresholdMatcher(match_threshold=match, possible_threshold=possible)
+    scorer = BatchScorer(comparator, decider)
+    everything = [(a.id, b.id) for a in external for b in local]
+    some = data.draw(st.lists(st.sampled_from(everything), min_size=1, max_size=12))
+    # a cold run over some pairs warms the memo the full run then reuses
+    for pairs in (some, everything):
+        expected = pairwise_chunk(pairs, external, local, comparator, decider)
+        assert scorer.score_chunk(pairs, external, local) == expected
+    assert scorer.pair_bounded <= scorer.pair_misses

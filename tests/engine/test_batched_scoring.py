@@ -13,6 +13,8 @@ streaming legs) lives in ``test_batched_scenarios.py``; randomized
 differential fuzzing in ``test_batched_fuzz.py``.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.engine import (
@@ -34,6 +36,7 @@ from repro.linking import (
 )
 from repro.linking.matchers import MatchStatus
 from repro.rdf import EX
+from repro.text.similarity import jaro_winkler_similarity, levenshtein_similarity
 
 
 def record(name, pn, maker="acme"):
@@ -670,3 +673,161 @@ class TestBatchedStatsFormat:
     def test_job_config_rejects_unknown_scoring(self):
         with pytest.raises(ValueError, match="scoring"):
             JobConfig(scoring="columnar")
+
+
+# ----------------------------------------------------------------------
+# the exact early exit: where the bound applies, and that it is a bound
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def tiny_catalog_stores():
+    from repro.datagen.catalog import PART_NUMBER, ElectronicCatalogGenerator
+    from repro.datagen.config import CatalogConfig
+    from repro.experiments.throughput import provider_batch
+
+    catalog = ElectronicCatalogGenerator(CatalogConfig.tiny(seed=7)).generate()
+    graph, _ = provider_batch(catalog, 30, seed=7)
+    fields = {"pn": PART_NUMBER}
+    return (
+        RecordStore.from_graph(graph, fields),
+        RecordStore.from_graph(catalog.local_graph, fields),
+    )
+
+
+class TestExactEarlyExit:
+    def run_both(self, stores, comparator, decider):
+        external, local = stores
+        runs = [
+            LinkingJob(
+                make_blocking(), comparator, decider,
+                JobConfig(executor="serial", scoring=scoring),
+            ).run(external, local)
+            for scoring in ("batched", "pairwise")
+        ]
+        assert_identical(*runs)
+        return runs[0]
+
+    def test_single_field_jaro_winkler_under_a_threshold_is_bounded(
+        self, tiny_catalog_stores
+    ):
+        stats = self.run_both(
+            tiny_catalog_stores,
+            RecordComparator([FieldComparator("pn")]),
+            ThresholdMatcher(0.9),
+        ).stats
+        assert stats.scoring == "batched"
+        assert 0 < stats.batch_bounded < stats.batch_pair_misses
+
+    def test_a_partial_with_custom_prefix_parameters_is_bounded(
+        self, tiny_catalog_stores
+    ):
+        similarity = partial(jaro_winkler_similarity, prefix_scale=0.125, max_prefix=8)
+        stats = self.run_both(
+            tiny_catalog_stores,
+            RecordComparator([FieldComparator("pn", similarity=similarity)]),
+            ThresholdMatcher(0.9, possible_threshold=0.8),
+        ).stats
+        assert stats.batch_bounded > 0
+
+    def test_a_non_jaro_winkler_field_is_never_bounded(self, tiny_catalog_stores):
+        stats = self.run_both(
+            tiny_catalog_stores,
+            RecordComparator([FieldComparator("pn", similarity=levenshtein_similarity)]),
+            ThresholdMatcher(0.9),
+        ).stats
+        assert stats.batch_bounded == 0
+
+    @pytest.mark.parametrize("weight", (-0.5, 0.0))
+    def test_a_field_without_positive_weight_is_never_bounded(self, stores, weight):
+        comparator = RecordComparator(
+            [FieldComparator("pn", weight=2.0), FieldComparator("maker", weight=weight)]
+        )
+        stats = self.run_both(stores, comparator, ThresholdMatcher(0.9)).stats
+        assert stats.batch_bounded == 0
+        # the same stores with both weights positive are bounded
+        positive = RecordComparator(
+            [FieldComparator("pn", weight=2.0), FieldComparator("maker", weight=0.5)]
+        )
+        assert self.run_both(stores, positive, ThresholdMatcher(0.9)).stats.batch_bounded > 0
+
+    def test_fellegi_sunter_is_never_bounded(self, tiny_catalog_stores):
+        comparator = RecordComparator([FieldComparator("pn")])
+        same = [(record("m1", "crcw0805-10k"), record("m2", "crcw0805-10k"))]
+        different = [(record("n1", "crcw0805-10k"), record("n2", "zzz-111"))]
+        decider = FellegiSunterMatcher(comparator).train(same, different)
+        stats = self.run_both(tiny_catalog_stores, comparator, decider).stats
+        assert stats.batch_bounded == 0
+
+    @pytest.mark.parametrize(
+        "similarity, left, right, maker",
+        (
+            pytest.param(jaro_winkler_similarity, "abcx", "abcy", None, id="winkler-boost"),
+            pytest.param(
+                partial(jaro_winkler_similarity, prefix_scale=0.125, max_prefix=8),
+                "abcabcabx", "abcabcaby", None, id="partial-prefix-cap",
+            ),
+            pytest.param(jaro_winkler_similarity, "abc", "abc", None, id="exactly-1.0"),
+            pytest.param(jaro_winkler_similarity, "abcx", "abcy", "acme", id="walk"),
+            pytest.param(jaro_winkler_similarity, "abc", "abc", "acme", id="walk-1.0"),
+        ),
+    )
+    def test_a_pair_exactly_on_the_floor_is_scored(self, similarity, left, right, maker):
+        """The floor is the pair's own aggregate: a bound that misses the
+        Winkler boost or a partial's cap, or cuts at equality, loses it."""
+        fields = [FieldComparator("pn", similarity=similarity)]
+        if maker is not None:
+            fields.append(FieldComparator("maker", weight=0.5))
+        comparator = RecordComparator(fields)
+        stores = (
+            RecordStore([record("e", left, maker=maker)]),
+            RecordStore([record("l", right, maker=maker)]),
+        )
+        floor = comparator.compare(stores[0].get(EX.e), stores[1].get(EX.l)).aggregate
+        result = self.run_both(stores, comparator, ThresholdMatcher(floor))
+        assert [m.score for m in result.matches] == [floor]
+        assert result.stats.batch_bounded == 0
+
+    def test_the_bound_never_falls_below_the_kernel(self, tiny_catalog_stores):
+        from repro.engine.batch import _character_bags, _winkler_bound
+        from repro.text.normalize import normalize_value
+
+        external, local = tiny_catalog_stores
+        values = sorted(
+            {normalize_value(v) for store in (external, local) for r in store
+             for v in r.values("pn")}
+        )[:60] + ["", "a", "aa", "ab", "ba"]
+        bag_of = _character_bags()
+        bags = {value: bag_of(value) for value in values}
+        # a bag's popcount is its size: the value's length, 1 for ""
+        assert all(bags[v].bit_count() == max(len(v), 1) for v in values)
+        for prefix_scale, max_prefix in ((0.1, 4), (0.25, 4), (0.125, 8), (0.0, 0)):
+            for a in values:
+                for b in values:
+                    exact = jaro_winkler_similarity(a, b, prefix_scale, max_prefix)
+                    bound = _winkler_bound(
+                        bags[a], bags[a].bit_count(), bags[b], bags[b].bit_count(),
+                        prefix_scale, max_prefix,
+                    )
+                    assert exact <= bound <= 1.0
+                    if a == b:
+                        assert bound == 1.0  # a pair exactly at 1.0 stays exact
+
+    def test_which_similarities_the_bound_reads(self):
+        from repro.engine.batch import _winkler_parameters
+        jw = jaro_winkler_similarity
+
+        assert _winkler_parameters(jw) == (0.1, 4)
+        assert _winkler_parameters(partial(jw, max_prefix=6, prefix_scale=0.15)) == (
+            0.15, 6,
+        )
+        assert _winkler_parameters(partial(jw, max_prefix=2)) == (0.1, 2)
+        # positional arguments, other keywords and values the kernel
+        # refuses all leave the field unbounded
+        assert _winkler_parameters(partial(jw, "x")) is None
+        assert _winkler_parameters(partial(jw, a="x")) is None
+        assert _winkler_parameters(partial(jw, max_prefix=4.5)) is None
+        assert _winkler_parameters(partial(jw, prefix_scale=0.25, max_prefix=10)) is None
+        assert _winkler_parameters(levenshtein_similarity) is None
+
+    def test_floor_is_the_lowest_band(self):
+        assert ThresholdMatcher(0.9).non_match_floor == 0.9
+        assert ThresholdMatcher(0.9, possible_threshold=0.7).non_match_floor == 0.7

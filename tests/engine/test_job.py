@@ -267,6 +267,62 @@ class TestStats:
         assert stats.batch_reuse_rate == 0.8
         assert stats.reuse_rate == 0.8  # the memo of the path that ran
 
+    def test_batch_bounded_counts_pairs_the_bound_skipped(
+        self, comparator, stores, serial_result
+    ):
+        external, local = stores
+        result = LinkingJob(
+            FullIndex(), comparator, ThresholdMatcher(0.95), JobConfig(executor="serial")
+        ).run(external, local)
+        stats = result.stats
+        assert result.matches == serial_result.matches
+        # 25 distinct profile pairs: the 4 equal ones and the 2 pairs of
+        # crcw0805 variants can reach 0.95, the other 19 cannot
+        assert stats.batch_pair_misses == 25
+        assert stats.batch_bounded == 19
+        # bounded pairs are misses and compared pairs: reuse keeps its meaning
+        assert stats.batch_pair_hits + stats.batch_pair_misses == stats.pairs_compared
+        assert "bounded 19 of 25" in stats.format()
+
+    @pytest.mark.parametrize("executor", ("process", "shard", "worker"))
+    def test_batch_bounded_sums_across_workers(self, comparator, stores, executor):
+        external, local = stores
+        stats = LinkingJob(
+            FullIndex(),
+            comparator,
+            ThresholdMatcher(0.95),
+            JobConfig(executor=executor, workers=2, chunk_size=4),
+        ).run(external, local).stats
+        assert stats.executor == executor
+        # every pair is a distinct profile pair, so per-worker memos
+        # bound exactly the pairs the serial scorer does
+        assert stats.batch_bounded == 19
+
+    def test_batch_bounded_is_zero_where_the_bound_does_not_apply(
+        self, comparator, stores
+    ):
+        from repro.linking import FellegiSunterMatcher
+
+        external, local = stores
+        same = [(record("m1", "abc-999"), record("m2", "abc-999"))]
+        different = [(record("n1", "abc-999"), record("n2", "t83-220", maker="zz"))]
+        fellegi_sunter = FellegiSunterMatcher(comparator).train(same, different)
+
+        class Uncompiled:
+            def decide(self, vector):
+                return ThresholdMatcher(0.95).decide(vector)
+
+        for decider, scoring in (
+            (fellegi_sunter, "batched"),
+            (Uncompiled(), "batched"),
+            (ThresholdMatcher(0.95), "pairwise"),
+        ):
+            stats = LinkingJob(
+                FullIndex(), comparator, decider, JobConfig(scoring=scoring)
+            ).run(external, local).stats
+            assert stats.scoring == scoring
+            assert stats.batch_bounded == 0
+
     def test_empty_candidate_set(self, comparator):
         external = RecordStore([record("e1", "abc")])
         local = RecordStore([record("l1", "xyz")])

@@ -294,6 +294,17 @@ class TestServeStaysPairwise:
         assert session.stats()["cache"]["hits"] > hits
 
 
+class TestServeRunsNoBound:
+    """The batched scorer's exact early exit never runs under serve:
+    a pairwise-pinned session has no scorer to bound with."""
+
+    def test_link_reports_no_bounded_pairs(self, session, materials):
+        _, _, external = materials
+        stats = session.link(external).stats
+        assert stats.scoring == "pairwise"
+        assert stats.batch_bounded == 0
+
+
 class TestWarmLearning:
     def test_rules_bundle_resumes_incremental_learning(self, tmp_path, materials):
         from repro.core.serialize import rules_to_json

@@ -99,6 +99,28 @@ class TestJaro:
         with pytest.raises(ValueError):
             jaro_winkler_similarity("a", "b", prefix_scale=0.5)
 
+    def test_winkler_rejects_boost_past_one(self):
+        # 0.25 * 10 > 1: the boost would lift the score to 1.23
+        with pytest.raises(ValueError):
+            jaro_winkler_similarity(
+                "abcdefghijXYZ", "abcdefghijQRS", prefix_scale=0.25, max_prefix=10
+            )
+        # Winkler's condition at its edge is accepted and stays in [0, 1]
+        assert 0.0 <= jaro_winkler_similarity(
+            "abcdefghijXYZ", "abcdefghijQRS", prefix_scale=0.1, max_prefix=10
+        ) <= 1.0
+
+    def test_winkler_rejects_a_max_prefix_that_uncaps_the_prefix(self):
+        # -1 never equals the running count, so it would uncap the prefix
+        with pytest.raises(ValueError):
+            jaro_winkler_similarity("abcdefgh", "abcdefgz", max_prefix=-1)
+        # nor does 4.5: 0.2 * 4.5 <= 1, yet the boost would reach 1.15
+        with pytest.raises(ValueError):
+            jaro_winkler_similarity(
+                "abcdefghijXYZ", "abcdefghijQRS", prefix_scale=0.2, max_prefix=4.5
+            )
+        assert jaro_winkler_similarity("abcdefgh", "abcdefgz") == pytest.approx(0.95)
+
 
 class TestTokenSetMeasures:
     def test_jaccard(self):
